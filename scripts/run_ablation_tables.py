@@ -14,26 +14,11 @@ import argparse
 import os
 import sys
 
+from run_toy_experiment import TOY_CONFIG
 from sevx.cli import main as sevx_main
 
-BASE_CONFIG = """\
-seed = {seed}
-out = {out}
-model.scale_factor = 0.125
-model.segment_frames = 64
-data.num_speakers = 20
-data.utts_per_speaker = 8
-data.frames_per_utt = 64
-data.chunk_frames = 64
-data.noise_level = 0.25
-optim.batch_size = 20
-optim.epochs = 8
-optim.lr = 0.15
-se.stages = 1,2
-se.reduction = 4
-se.hidden_layers = 2
-se.pooling = mean_std
-"""
+# the toy experiment's config, with half its epochs per ablation cell
+BASE_CONFIG = TOY_CONFIG.replace("optim.epochs = 16", "optim.epochs = 8")
 
 SWEEPS = {
     "stages": "stages=|1|1,2|1,2,3|1,2,3,4",

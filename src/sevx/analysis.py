@@ -14,7 +14,6 @@ import numpy as np
 
 from . import se as se_mod
 from .model import SpeakerEmbedder
-from .se import SEWiredBlock
 from .tensor import Tensor, no_grad
 
 
@@ -40,7 +39,7 @@ def _probed_blocks(model: SpeakerEmbedder, stages, all_blocks: bool):
     """Map unit name -> (stage, block_index) for the probe set."""
     available = {}
     for si, blocks in enumerate(model.stages):
-        wired = [(bi, b) for bi, b in enumerate(blocks) if isinstance(b, SEWiredBlock)]
+        wired = [(bi, b) for bi, b in enumerate(blocks) if b.se is not None]
         if wired:
             available[si + 1] = wired
     if stages is None:
@@ -54,7 +53,7 @@ def _probed_blocks(model: SpeakerEmbedder, stages, all_blocks: bool):
     for s in stages:
         wired = available[s] if all_blocks else available[s][-1:]
         for bi, block in wired:
-            probes[block.unit.name] = (s, bi)
+            probes[block.se.name] = (s, bi)
     return probes
 
 

@@ -9,6 +9,8 @@ bit-exact; every read error reports the byte offset it happened at.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections import OrderedDict
 
@@ -60,28 +62,32 @@ def write_container(path: str, metadata: str, tensors) -> None:
             f.write(data.tobytes())
 
 
-def _read_exact(f, n: int, path: str, what: str) -> bytes:
-    offset = f.tell()
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ContainerError(
-            f"{path}: truncated while reading {what} at offset {offset} "
-            f"(wanted {n} bytes, got {len(buf)})")
-    return buf
-
-
 def read_container(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
-    """Read (metadata text, ordered name -> float32 array)."""
+    """Read (metadata text, ordered name -> float32 array).
+
+    Every length field is checked against the bytes left in the file before
+    anything is allocated, and tensor names must be unique.
+    """
     tensors: OrderedDict[str, np.ndarray] = OrderedDict()
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            offset = f.tell()
+            if n > size - offset:
+                raise ContainerError(
+                    f"{path}: truncated or corrupt {what} at offset {offset} "
+                    f"(wanted {n} bytes, {size - offset} left)")
+            return f.read(n)
+
+        magic = read(4, "magic")
         if magic != MAGIC:
             raise ContainerError(f"{path}: bad magic {magic!r} at offset 0, not a SEVX container")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != VERSION:
             raise ContainerError(f"{path}: unsupported container version {version} at offset 4")
-        (meta_len,) = struct.unpack("<Q", _read_exact(f, 8, path, "metadata length"))
-        meta = _read_exact(f, meta_len, path, "metadata block").decode("utf-8")
+        (meta_len,) = struct.unpack("<Q", read(8, "metadata length"))
+        meta = read(meta_len, "metadata block").decode("utf-8")
         while True:
             head = f.read(8)
             if len(head) == 0:
@@ -90,13 +96,13 @@ def read_container(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
                 raise ContainerError(
                     f"{path}: truncated tensor header at offset {f.tell() - len(head)}")
             (name_len,) = struct.unpack("<Q", head)
-            name = _read_exact(f, name_len, path, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<Q", _read_exact(f, 8, path, f"rank of {name!r}"))
-            dims = struct.unpack(
-                f"<{rank}Q", _read_exact(f, 8 * rank, path, f"dims of {name!r}"))
-            count =1
-            for d in dims:
-                count *= d
-            payload = _read_exact(f, 4 * count, path, f"payload of {name!r}")
+            name_offset = f.tell()
+            name = read(name_len, "tensor name").decode("utf-8")
+            if name in tensors:
+                raise ContainerError(
+                    f"{path}: duplicate tensor name {name!r} at offset {name_offset}")
+            (rank,) = struct.unpack("<Q", read(8, f"rank of {name!r}"))
+            dims = struct.unpack(f"<{rank}Q", read(8 * rank, f"dims of {name!r}"))
+            payload = read(4 * math.prod(dims), f"payload of {name!r}")
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     return meta, tensors

@@ -1,5 +1,6 @@
-"""ResNet-34 speaker embedding extractor with SE wiring, the additive
-angular margin head, and the SGD-with-momentum training step."""
+"""ResNet-34 speaker embedding extractor built from residual blocks with
+optional SE units, the additive angular margin head, and the
+SGD-with-momentum training step."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import BasicBlock, BatchNorm2d, Conv2d, Linear, rng_for, temporal_stats_pool
-from .se import SEConfig, SEUnit, SEWiredBlock, integrate_se
+from .nn import BatchNorm2d, Conv2d, Linear, rng_for, temporal_stats_pool
+from .se import SEConfig, SEUnit, se_apply
 from .tensor import NumericError, ShapeError, Tensor, no_grad
 
 
@@ -88,6 +89,85 @@ class ModelSpec:
         )
 
 
+class BasicBlock:
+    """Two 3x3 convs with batch norm, the skip path, and an optional SE unit.
+
+    When stride or width changes, the skip carries a stride-matched 1x1
+    convolution + batch norm. The SE unit, if any, is wired per its config's
+    integration:
+
+    standard: gate the residual branch output before the summation.
+    pre:      gate the block input; the skip still sees the ungated input.
+    post:     gate after the summation and the final ReLU.
+    identity: gate the skip path only; the residual branch is untouched.
+
+    PRE gates the block input, so its unit is sized to the input width; every
+    other strategy gates a tensor at the block's output width.
+    """
+
+    def __init__(self, in_channels: int, out_channels: int, stride: int,
+                 name: str, seed: int, dtype=np.float32, se: SEConfig | None = None):
+        self.name = name
+        self.conv1 = Conv2d(in_channels, out_channels, stride=(stride, stride),
+                            rng=rng_for(seed, f"{name}.conv1"), dtype=dtype)
+        self.bn1 = BatchNorm2d(out_channels, dtype=dtype)
+        self.conv2 = Conv2d(out_channels, out_channels, stride=(1, 1),
+                            rng=rng_for(seed, f"{name}.conv2"), dtype=dtype)
+        self.bn2 = BatchNorm2d(out_channels, dtype=dtype)
+        if stride != 1 or in_channels != out_channels:
+            self.down_conv = Conv2d(in_channels, out_channels, kernel=1,
+                                    stride=(stride, stride), padding=(0, 0), bias=False,
+                                    rng=rng_for(seed, f"{name}.down"), dtype=dtype)
+            self.down_bn = BatchNorm2d(out_channels, dtype=dtype)
+        else:
+            self.down_conv = None
+            self.down_bn = None
+        self.se: SEUnit | None = None
+        if se is not None:
+            channels = in_channels if se.integration == "pre" else out_channels
+            self.se = SEUnit(channels, se, name=f"{name}.se", seed=seed, dtype=dtype)
+
+    def residual(self, x: Tensor, train: bool) -> Tensor:
+        h = self.bn1.forward(self.conv1.forward(x), train).relu()
+        return self.bn2.forward(self.conv2.forward(h), train)
+
+    def shortcut(self, x: Tensor, train: bool) -> Tensor:
+        if self.down_conv is None:
+            return x
+        return self.down_bn.forward(self.down_conv.forward(x), train)
+
+    def forward(self, x: Tensor, train: bool) -> Tensor:
+        unit = self.se
+        mode = unit.config.integration if unit is not None else None
+        r = self.residual(se_apply(x, unit) if mode == "pre" else x, train)
+        if mode == "standard":
+            r = se_apply(r, unit)
+        s = self.shortcut(x, train)
+        if mode == "identity":
+            s = se_apply(s, unit)
+        out = (r + s).relu()
+        if mode == "post":
+            out = se_apply(out, unit)
+        return out
+
+    def named_parameters(self, prefix: str):
+        yield from self.conv1.named_parameters(f"{prefix}.conv1")
+        yield from self.bn1.named_parameters(f"{prefix}.bn1")
+        yield from self.conv2.named_parameters(f"{prefix}.conv2")
+        yield from self.bn2.named_parameters(f"{prefix}.bn2")
+        if self.down_conv is not None:
+            yield from self.down_conv.named_parameters(f"{prefix}.down")
+            yield from self.down_bn.named_parameters(f"{prefix}.down_bn")
+        if self.se is not None:
+            yield from self.se.named_parameters(f"{prefix}.se")
+
+    def named_buffers(self, prefix: str):
+        yield from self.bn1.named_buffers(f"{prefix}.bn1")
+        yield from self.bn2.named_buffers(f"{prefix}.bn2")
+        if self.down_bn is not None:
+            yield from self.down_bn.named_buffers(f"{prefix}.down_bn")
+
+
 class SpeakerEmbedder:
     """The full extractor: stem conv, four residual stages, temporal pooling,
     and the dense embedding layer."""
@@ -103,19 +183,18 @@ class SpeakerEmbedder:
         self.stem_conv = Conv2d(1, stem_ch, stride=(1, 1), rng=rng_for(seed, "stem.conv"), dtype=dtype)
         self.stem_bn = BatchNorm2d(stem_ch, dtype=dtype)
 
-        self.stages: list[list] = []
+        self.stages: list[list[BasicBlock]] = []
         in_ch = stem_ch
         for si in range(4):
             stage_num = si + 1
             out_ch = spec.scaled_stage_channels[si]
+            stage_se = (self.se_config if self.se_config is not None
+                        and stage_num in self.se_config.stages else None)
             blocks = []
             for bi in range(spec.stage_blocks[si]):
                 stride = spec.stage_strides[si] if bi == 0 else 1
-                name = f"stage{stage_num}.block{bi}"
-                block = BasicBlock(in_ch, out_ch, stride, name=name, seed=seed, dtype=dtype)
-                if self.se_config is not None and stage_num in self.se_config.stages:
-                    block = integrate_se(block, self.se_config, seed=seed, dtype=dtype)
-                blocks.append(block)
+                blocks.append(BasicBlock(in_ch, out_ch, stride, name=f"stage{stage_num}.block{bi}",
+                                         seed=seed, dtype=dtype, se=stage_se))
                 in_ch = out_ch
             self.stages.append(blocks)
 
@@ -132,15 +211,12 @@ class SpeakerEmbedder:
     # ---- forward ---------------------------------------------------------
 
     def forward_embedding(self, x: Tensor, train: bool) -> Tensor:
-        h = self.stem_bn.forward(self.stem_conv.forward(x), train).relu()
-        for blocks in self.stages:
-            for block in blocks:
-                h = block.forward(h, train)
-        pooled = temporal_stats_pool(h, mode=self.spec.temporal_pooling)
+        pooled = temporal_stats_pool(self.stage_outputs(x, train)[-1],
+                                     mode=self.spec.temporal_pooling)
         return self.embed.forward(pooled)
 
     def stage_outputs(self, x: Tensor, train: bool = False) -> list[Tensor]:
-        """Per-stage feature maps, for shape conformance checks."""
+        """Per-stage feature maps; ``forward_embedding`` pools the last one."""
         h = self.stem_bn.forward(self.stem_conv.forward(x), train).relu()
         outs = []
         for blocks in self.stages:
@@ -170,14 +246,6 @@ class SpeakerEmbedder:
 
     def se_parameter_count(self) -> int:
         return sum(p.size for name, p in self.named_parameters() if ".se." in name)
-
-    def se_units_by_stage(self) -> dict[int, list[SEUnit]]:
-        out: dict[int, list[SEUnit]] = {}
-        for si, blocks in enumerate(self.stages):
-            units = [b.unit for b in blocks if isinstance(b, SEWiredBlock)]
-            if units:
-                out[si + 1] = units
-        return out
 
 
 def build_model(spec: ModelSpec, se_config: SEConfig | None = None,

@@ -1,5 +1,5 @@
 """Neural layers for the ResNet topology: 2-D convolution, batch norm,
-linear layers, the residual basic block, and temporal statistics pooling.
+linear layers, and temporal statistics pooling.
 
 Feature maps are (batch, channels, freq, time). All 3x3 convolutions use
 padding 1 so stride-1 layers preserve spatial dims and stride-2 layers halve
@@ -224,68 +224,6 @@ class BatchNorm2d:
     def named_buffers(self, prefix: str):
         yield f"{prefix}.running_mean", self.running_mean
         yield f"{prefix}.running_var", self.running_var
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        if name == "running_mean":
-            self.running_mean = value.astype(self.running_mean.dtype)
-        elif name == "running_var":
-            self.running_var = value.astype(self.running_var.dtype)
-        else:
-            raise KeyError(name)
-
-
-class BasicBlock:
-    """Two 3x3 convs with batch norm, plus the skip path.
-
-    When stride or width changes, the skip carries a stride-matched 1x1
-    convolution + batch norm. SE wiring wraps around ``residual`` and
-    ``shortcut``; the bare block applies none.
-    """
-
-    def __init__(self, in_channels: int, out_channels: int, stride: int,
-                 name: str, seed: int, dtype=np.float32):
-        self.name = name
-        self.conv1 = Conv2d(in_channels, out_channels, stride=(stride, stride),
-                            rng=rng_for(seed, f"{name}.conv1"), dtype=dtype)
-        self.bn1 = BatchNorm2d(out_channels, dtype=dtype)
-        self.conv2 = Conv2d(out_channels, out_channels, stride=(1, 1),
-                            rng=rng_for(seed, f"{name}.conv2"), dtype=dtype)
-        self.bn2 = BatchNorm2d(out_channels, dtype=dtype)
-        if stride != 1 or in_channels != out_channels:
-            self.down_conv = Conv2d(in_channels, out_channels, kernel=1,
-                                    stride=(stride, stride), padding=(0, 0), bias=False,
-                                    rng=rng_for(seed, f"{name}.down"), dtype=dtype)
-            self.down_bn = BatchNorm2d(out_channels, dtype=dtype)
-        else:
-            self.down_conv = None
-            self.down_bn = None
-
-    def residual(self, x: Tensor, train: bool) -> Tensor:
-        h = self.bn1.forward(self.conv1.forward(x), train).relu()
-        return self.bn2.forward(self.conv2.forward(h), train)
-
-    def shortcut(self, x: Tensor, train: bool) -> Tensor:
-        if self.down_conv is None:
-            return x
-        return self.down_bn.forward(self.down_conv.forward(x), train)
-
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        return (self.residual(x, train) + self.shortcut(x, train)).relu()
-
-    def named_parameters(self, prefix: str):
-        yield from self.conv1.named_parameters(f"{prefix}.conv1")
-        yield from self.bn1.named_parameters(f"{prefix}.bn1")
-        yield from self.conv2.named_parameters(f"{prefix}.conv2")
-        yield from self.bn2.named_parameters(f"{prefix}.bn2")
-        if self.down_conv is not None:
-            yield from self.down_conv.named_parameters(f"{prefix}.down")
-            yield from self.down_bn.named_parameters(f"{prefix}.down_bn")
-
-    def named_buffers(self, prefix: str):
-        yield from self.bn1.named_buffers(f"{prefix}.bn1")
-        yield from self.bn2.named_buffers(f"{prefix}.bn2")
-        if self.down_bn is not None:
-            yield from self.down_bn.named_buffers(f"{prefix}.down_bn")
 
 
 def temporal_stats_pool(x: Tensor, mode: str = "mean") -> Tensor:

@@ -250,10 +250,15 @@ def save_checkpoint(path: str, model: SpeakerEmbedder, head: AAMHead,
     meta["head.scale"] = repr(head.scale)
     meta["head.margin"] = repr(head.margin)
     meta["seed"] = str(config.seed)
-    tensors = [(name, p.data) for name, p in model.named_parameters()]
-    tensors += [(name, buf) for name, buf in model.named_buffers()]
-    tensors += [(name, p.data) for name, p in head.named_parameters()]
-    write_container(path, metadata_to_text(meta), tensors)
+    write_container(path, metadata_to_text(meta), _checkpoint_arrays(model, head))
+
+
+def _checkpoint_arrays(model: SpeakerEmbedder, head: AAMHead):
+    """(name, live array) of everything a checkpoint stores, in container
+    order: model parameters, then batch-norm buffers, then the head."""
+    yield from ((name, p.data) for name, p in model.named_parameters())
+    yield from model.named_buffers()
+    yield from ((name, p.data) for name, p in head.named_parameters())
 
 
 def load_checkpoint(path: str) -> tuple[SpeakerEmbedder, AAMHead, dict[str, str]]:
@@ -268,9 +273,8 @@ def load_checkpoint(path: str) -> tuple[SpeakerEmbedder, AAMHead, dict[str, str]
     head = AAMHead(spec.num_speakers, spec.embedding_dim,
                    scale=float(meta.get("head.scale", "30.0")),
                    margin=float(meta.get("head.margin", "0.4")), seed=seed)
-    expected = {name for name, _ in model.named_parameters()}
-    expected |= {name for name, _ in model.named_buffers()}
-    expected |= {name for name, _ in head.named_parameters()}
+    arrays = list(_checkpoint_arrays(model, head))
+    expected = {name for name, _ in arrays}
     stored = set(tensors)
     if expected != stored:
         missing = sorted(expected - stored)[:5]
@@ -278,35 +282,14 @@ def load_checkpoint(path: str) -> tuple[SpeakerEmbedder, AAMHead, dict[str, str]
         raise ValueError(
             f"{path}: tensor names do not match the model "
             f"(missing {missing}, unexpected {extra})")
-    for name, p in model.named_parameters():
-        p.data[...] = tensors[name].reshape(p.shape)
-    buffer_owners = _buffer_owners(model)
-    for name, arr in tensors.items():
-        if name in buffer_owners:
-            owner, attr = buffer_owners[name]
-            owner.set_buffer(attr, arr)
-    for name, p in head.named_parameters():
-        p.data[...] = tensors[name].reshape(p.shape)
+    for name, arr in arrays:
+        value = tensors[name]
+        if value.size != arr.size:
+            raise ValueError(
+                f"{path}: tensor {name!r} holds {value.size} values, "
+                f"the model expects shape {arr.shape}")
+        arr[...] = value.reshape(arr.shape)
     return model, head, meta
-
-
-def _buffer_owners(model: SpeakerEmbedder):
-    owners = {}
-
-    def visit(prefix, bn):
-        owners[f"{prefix}.running_mean"] = (bn, "running_mean")
-        owners[f"{prefix}.running_var"] = (bn, "running_var")
-
-    visit("stem.bn", model.stem_bn)
-    for si, blocks in enumerate(model.stages):
-        for bi, blk in enumerate(blocks):
-            base = getattr(blk, "block", blk)
-            prefix = f"stage{si + 1}.block{bi}"
-            visit(f"{prefix}.bn1", base.bn1)
-            visit(f"{prefix}.bn2", base.bn2)
-            if base.down_bn is not None:
-                visit(f"{prefix}.down_bn", base.down_bn)
-    return owners
 
 
 # ---- scoring ----------------------------------------------------------------

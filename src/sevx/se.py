@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import STATS_EPS, BasicBlock, Linear, rng_for
+from .nn import STATS_EPS, Linear, rng_for
 from .tensor import ShapeError, Tensor, cat
 
 POOLINGS = ("max", "mean", "std", "mean_std")
@@ -204,55 +204,3 @@ def record_excitations(sink: list):
     finally:
         _ACTIVE_RECORDER = prev
 
-
-class SEWiredBlock:
-    """A residual basic block with an SE unit wired per the chosen strategy.
-
-    standard: gate the residual branch output before the summation.
-    pre:      gate the block input; the skip still sees the ungated input.
-    post:     gate after the summation and the final ReLU.
-    identity: gate the skip path only; the residual branch is untouched.
-    """
-
-    def __init__(self, block: BasicBlock, unit: SEUnit, integration: str):
-        if integration not in INTEGRATIONS:
-            raise ValueError(f"unknown SE integration {integration!r}")
-        self.block = block
-        self.unit = unit
-        self.integration = integration
-        self.name = block.name
-
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        mode = self.integration
-        r_in = se_apply(x, self.unit) if mode == "pre" else x
-        r = self.block.residual(r_in, train)
-        if mode == "standard":
-            r = se_apply(r, self.unit)
-        s = self.block.shortcut(x, train)
-        if mode == "identity":
-            s = se_apply(s, self.unit)
-        out = (r + s).relu()
-        if mode == "post":
-            out = se_apply(out, self.unit)
-        return out
-
-    def named_parameters(self, prefix: str):
-        yield from self.block.named_parameters(prefix)
-        yield from self.unit.named_parameters(f"{prefix}.se")
-
-    def named_buffers(self, prefix: str):
-        yield from self.block.named_buffers(prefix)
-
-
-def integrate_se(block: BasicBlock, config: SEConfig, seed: int, dtype=np.float32) -> SEWiredBlock:
-    """Wrap a basic block with a fresh SE unit per the config's strategy.
-
-    PRE gates the block input, so its unit is sized to the input width; every
-    other strategy gates a tensor at the block's output width.
-    """
-    if config.integration == "pre":
-        channels = block.conv1.in_channels
-    else:
-        channels = block.conv2.out_channels
-    unit = SEUnit(channels, config, name=f"{block.name}.se", seed=seed, dtype=dtype)
-    return SEWiredBlock(block, unit, config.integration)

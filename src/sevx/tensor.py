@@ -45,10 +45,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def set_sequential(flag: bool) -> None:
     """Pin execution to one thread for bit-exact reproducibility.
 
@@ -190,12 +186,6 @@ class Tensor:
 
     def _not_scalar(self):
         raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
-
-    def numpy(self) -> np.ndarray:
-        return self.data.copy()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -513,34 +503,3 @@ def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor._from_op(data, ts, backward)
 
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return a + b
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return a - b
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return a * b
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return a / b
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return a @ b
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x.log_softmax(axis=axis)

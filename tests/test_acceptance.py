@@ -17,12 +17,11 @@ from sevx.checkpoint import read_container
 from sevx.config import RunConfig
 from sevx.gradcheck import CASES, run_suite
 from sevx.metrics import DCFParams, eer_from_arrays, min_dcf_from_arrays, read_trials
-from sevx.model import (AAMHead, ModelSpec, SGDOptimizer, build_model, se_census,
+from sevx.model import (AAMHead, BasicBlock, ModelSpec, SGDOptimizer, build_model, se_census,
                         train_step)
-from sevx.nn import BasicBlock
 from sevx.pipeline import (corpus_dir, evaluate_checkpoint, load_corpus, run_training,
                            save_checkpoint, write_corpus)
-from sevx.se import SEConfig, SEUnit, SEWiredBlock, se_apply
+from sevx.se import SEConfig, SEUnit, se_apply
 from sevx.tensor import Tensor, set_sequential
 
 
@@ -139,8 +138,8 @@ def test_criterion_2_full_scale_shapes():
 # ---- criterion 3: SE neutrality and gating -----------------------------------
 
 
-def _unit(channels, last_bias, pooling="mean"):
-    cfg = SEConfig(pooling=pooling, reduction_factor=2, hidden_layers=2)
+def _unit(channels, last_bias, pooling="mean", integration="standard"):
+    cfg = SEConfig(pooling=pooling, reduction_factor=2, hidden_layers=2, integration=integration)
     unit = SEUnit(channels, cfg, rng=np.random.default_rng(0))
     for layer in unit.fc_layers:
         layer.weight = Tensor(np.zeros_like(layer.weight.data))
@@ -157,8 +156,8 @@ def test_criterion_3_se_neutrality_and_gating():
     max_err = 0.0
     for integration in ("standard", "pre", "post", "identity"):
         block = BasicBlock(4, 4, stride=1, name="b", seed=2)
-        wired = SEWiredBlock(BasicBlock(4, 4, stride=1, name="b", seed=2),
-                             _unit(4, 100.0), integration)
+        wired = BasicBlock(4, 4, stride=1, name="b", seed=2)
+        wired.se = _unit(4, 100.0, integration=integration)
         x = Tensor(x_arr)
         base = block.forward(x, train=False).data
         gated = wired.forward(x, train=False).data

@@ -8,11 +8,31 @@ import pytest
 
 from sevx.checkpoint import (ContainerError, metadata_from_text, metadata_to_text,
                              read_container, write_container)
+from sevx.config import RunConfig
+from sevx.model import AAMHead, ModelSpec, SGDOptimizer, build_model, extract_embedding, train_step
+from sevx.pipeline import load_checkpoint, save_checkpoint
+from sevx.se import SEConfig
+from sevx.tensor import Tensor
 
 
 def sha(path):
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def one_tensor_container(tmp_path):
+    """A container holding one (2, 3) tensor "x", and the offset of its name-length field."""
+    path = str(tmp_path / "one.sevx")
+    meta = "k = v\n"
+    write_container(path, meta, [("x", np.ones((2, 3), dtype=np.float32))])
+    return path, 4 + 4 + 8 + len(meta)
+
+
+def patch_u64(path, offset, value):
+    data = bytearray(open(path, "rb").read())
+    data[offset:offset + 8] = struct.pack("<Q", value)
+    with open(path, "wb") as f:
+        f.write(data)
 
 
 class TestRoundTrip:
@@ -84,3 +104,59 @@ class TestCorruption:
             f.write(b"\x01\x02\x03")  # partial name-length field
         with pytest.raises(ContainerError, match="truncated tensor header"):
             read_container(path)
+
+    # each length field is bounded by the bytes left, before anything is allocated
+    @pytest.mark.parametrize("field, delta, value, what", [
+        ("name length", 0, 2 ** 62, "tensor name"),
+        ("rank", 8 + 1, 2 ** 61, "dims of 'x'"),
+        ("first dim", 8 + 1 + 8, 2 ** 40, "payload of 'x'"),
+    ])
+    def test_corrupt_length_field_reports_offset(self, tmp_path, field, delta, value, what):
+        path, name_len_at = one_tensor_container(tmp_path)
+        patch_u64(path, name_len_at + delta, value)
+        with pytest.raises(ContainerError, match=f"{what} at offset"):
+            read_container(path)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        path, name_len_at = one_tensor_container(tmp_path)
+        data = open(path, "rb").read()
+        with open(path, "ab") as f:
+            f.write(data[name_len_at:])
+        with pytest.raises(ContainerError, match="duplicate tensor name 'x'"):
+            read_container(path)
+
+
+class TestLoadCheckpoint:
+    SPEC = ModelSpec(scale_factor=1 / 16, num_speakers=4, segment_frames=32)
+
+    def _trained_checkpoint(self, tmp_path):
+        model = build_model(self.SPEC, SEConfig(stages=frozenset({1, 2, 3, 4})), seed=5)
+        head = AAMHead(4, self.SPEC.embedding_dim, seed=5)
+        opt = SGDOptimizer(list(model.named_parameters()) + list(head.named_parameters()))
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, 1, 60, 32)).astype(np.float32)
+        train_step(model, head, Tensor(x), np.arange(4), opt)
+        path = str(tmp_path / "ckpt.sevx")
+        save_checkpoint(path, model, head, RunConfig({"seed": "5"}))
+        return model, path
+
+    def test_buffers_and_embedding_bit_identical(self, tmp_path):
+        model, path = self._trained_checkpoint(tmp_path)
+        loaded, _head, _meta = load_checkpoint(path)
+        want = dict(model.named_buffers())
+        got = dict(loaded.named_buffers())
+        assert list(got) == list(want)
+        for name, buf in want.items():
+            assert got[name].tobytes() == buf.tobytes(), name
+        feats = Tensor(np.random.default_rng(3).normal(size=(1, 1, 60, 40)).astype(np.float32))
+        assert (extract_embedding(loaded, feats).tobytes()
+                == extract_embedding(model, feats).tobytes())
+
+    def test_wrong_size_buffer_names_the_tensor(self, tmp_path):
+        _model, path = self._trained_checkpoint(tmp_path)
+        meta, tensors = read_container(path)
+        name = "stage1.block0.bn1.running_var"
+        tensors[name] = np.ones(tensors[name].size + 1, dtype=np.float32)
+        write_container(path, meta, tensors.items())
+        with pytest.raises(ValueError, match=name):
+            load_checkpoint(path)

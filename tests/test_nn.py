@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevx.nn import BatchNorm2d, BasicBlock, Conv2d, Linear, conv2d_reference, temporal_stats_pool
+from sevx.model import BasicBlock
+from sevx.nn import BatchNorm2d, Conv2d, Linear, conv2d_reference, temporal_stats_pool
 from sevx.tensor import ShapeError, Tensor
 
 

@@ -4,9 +4,8 @@ integration strategies, and parameter accounting."""
 import numpy as np
 import pytest
 
-from sevx.nn import BasicBlock
-from sevx.se import (SEConfig, SEUnit, SEWiredBlock, integrate_se, record_excitations,
-                     se_apply, squeeze)
+from sevx.model import BasicBlock
+from sevx.se import SEConfig, SEUnit, record_excitations, se_apply, squeeze
 from sevx.tensor import ShapeError, Tensor
 
 
@@ -185,11 +184,12 @@ class TestLayerDims:
 
 
 class TestIntegration:
-    def _block(self, seed=0, in_ch=4, out_ch=4, stride=1):
-        return BasicBlock(in_ch, out_ch, stride, name="blk", seed=seed)
+    def _block(self, seed=0, in_ch=4, out_ch=4, stride=1, se=None):
+        return BasicBlock(in_ch, out_ch, stride, name="blk", seed=seed, se=se)
 
-    def _saturated_unit(self, channels, pooling="mean"):
-        cfg = SEConfig(pooling=pooling, reduction_factor=2, hidden_layers=2)
+    def _saturated_unit(self, channels, integration="standard", pooling="mean"):
+        cfg = SEConfig(pooling=pooling, reduction_factor=2, hidden_layers=2,
+                       integration=integration)
         unit = SEUnit(channels, cfg, rng=np.random.default_rng(0))
         last = unit.fc_layers[-1]
         last.bias = Tensor(np.full(channels, 100.0, dtype=np.float32))
@@ -199,8 +199,8 @@ class TestIntegration:
     @pytest.mark.parametrize("integration", ["standard", "pre", "post", "identity"])
     def test_saturated_gate_matches_se_free_block(self, integration):
         block = self._block(seed=3)
-        unit = self._saturated_unit(4)
-        wired = SEWiredBlock(self._block(seed=3), unit, integration)
+        wired = self._block(seed=3)
+        wired.se = self._saturated_unit(4, integration)
         x = Tensor(np.random.default_rng(11).normal(size=(2, 4, 5, 6)).astype(np.float32))
         base = block.forward(x, train=False).data
         gated = wired.forward(x, train=False).data
@@ -210,51 +210,51 @@ class TestIntegration:
         # bias the residual branch negative so the final ReLU clips
         block = self._block(seed=4)
         block.bn2.beta = Tensor(np.full(4, -2.0, dtype=np.float32), requires_grad=True)
-        cfg = SEConfig(pooling="mean", reduction_factor=2, hidden_layers=2)
-        unit = SEUnit(4, cfg, rng=np.random.default_rng(5))
         x = Tensor(np.random.default_rng(12).normal(size=(2, 4, 5, 5)).astype(np.float32))
-        out_standard = SEWiredBlock(block, unit, "standard").forward(x, train=False).data
-        out_post = SEWiredBlock(block, unit, "post").forward(x, train=False).data
-        assert not np.allclose(out_standard, out_post, atol=1e-5)
+        outs = {}
+        for integration in ("standard", "post"):
+            cfg = SEConfig(pooling="mean", reduction_factor=2, hidden_layers=2,
+                           integration=integration)
+            block.se = SEUnit(4, cfg, rng=np.random.default_rng(5))
+            outs[integration] = block.forward(x, train=False).data
+        assert not np.allclose(outs["standard"], outs["post"], atol=1e-5)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="integration"):
-            SEWiredBlock(self._block(), self._saturated_unit(4), "inside-out")
+            SEConfig(integration="inside-out")
 
     def test_pre_gates_block_input_not_skip(self):
         # with a crushing gate, PRE zeroes the residual branch input while the
         # skip path still carries x
         block = self._block(seed=6)
-        cfg = SEConfig(pooling="mean", reduction_factor=2, hidden_layers=2)
+        cfg = SEConfig(pooling="mean", reduction_factor=2, hidden_layers=2, integration="pre")
         unit = SEUnit(4, cfg, rng=np.random.default_rng(0))
         last = unit.fc_layers[-1]
         last.bias = Tensor(np.full(4, -100.0, dtype=np.float32))
         last.weight = Tensor(np.zeros_like(last.weight.data))
-        wired = SEWiredBlock(block, unit, "pre")
+        block.se = unit
         x_arr = np.abs(np.random.default_rng(13).normal(size=(1, 4, 4, 4))).astype(np.float32)
-        out = wired.forward(Tensor(x_arr), train=False).data
+        out = block.forward(Tensor(x_arr), train=False).data
         zero_in = block.residual(Tensor(np.zeros_like(x_arr)), train=False).data
         expected = np.maximum(zero_in + x_arr, 0.0)
         np.testing.assert_allclose(out, expected, atol=1e-3)
 
-    def test_integrate_se_builds_unit_for_block_width(self):
-        block = self._block(in_ch=4, out_ch=8, stride=2)
+    def test_block_builds_unit_for_output_width(self):
         cfg = SEConfig(pooling="mean_std", reduction_factor=4, hidden_layers=2,
                        integration="identity", stages=frozenset({1}))
-        wired = integrate_se(block, cfg, seed=0)
-        assert wired.unit.channels == 8
-        assert wired.unit.input_dim == 16
-        assert wired.integration == "identity"
+        block = self._block(in_ch=4, out_ch=8, stride=2, se=cfg)
+        assert block.se.channels == 8
+        assert block.se.input_dim == 16
+        assert block.se.config.integration == "identity"
 
     def test_pre_unit_sized_to_block_input_on_channel_change(self):
         # PRE gates the block input, which is narrower than the output here
-        block = self._block(in_ch=4, out_ch=8, stride=2)
         cfg = SEConfig(pooling="mean", reduction_factor=2, hidden_layers=2,
                        integration="pre", stages=frozenset({1}))
-        wired = integrate_se(block, cfg, seed=0)
-        assert wired.unit.channels == 4
+        block = self._block(in_ch=4, out_ch=8, stride=2, se=cfg)
+        assert block.se.channels == 4
         x = Tensor(np.random.default_rng(14).normal(size=(2, 4, 6, 6)).astype(np.float32))
-        assert wired.forward(x, train=False).shape == (2, 8, 3, 3)
+        assert block.forward(x, train=False).shape == (2, 8, 3, 3)
 
 
 def test_recorder_observes_without_perturbing():
