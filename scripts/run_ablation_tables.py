@@ -16,6 +16,7 @@ import sys
 
 from run_toy_experiment import TOY_CONFIG
 from sevx.cli import main as sevx_main
+from sevx.se import INTEGRATIONS, POOLINGS
 
 # the toy experiment's config, with half its epochs per ablation cell
 BASE_CONFIG = TOY_CONFIG.replace("optim.epochs = 16", "optim.epochs = 8")
@@ -23,9 +24,9 @@ BASE_CONFIG = TOY_CONFIG.replace("optim.epochs = 16", "optim.epochs = 8")
 SWEEPS = {
     "stages": "stages=|1|1,2|1,2,3|1,2,3,4",
     "reduction": "r=2|4|8",
-    "integration": "integration=standard|pre|post|identity",
+    "integration": "integration=" + "|".join(INTEGRATIONS),
     "hidden": "h=1|2|3|4",
-    "pooling": "pooling=max|mean|std|mean_std",
+    "pooling": "pooling=" + "|".join(POOLINGS),
 }
 
 

@@ -66,7 +66,7 @@ def read_container(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
     """Read (metadata text, ordered name -> float32 array).
 
     Every length field is checked against the bytes left in the file before
-    anything is allocated, and tensor names must be unique.
+    anything is allocated, text must be UTF-8, and tensor names must be unique.
     """
     tensors: OrderedDict[str, np.ndarray] = OrderedDict()
     with open(path, "rb") as f:
@@ -80,6 +80,14 @@ def read_container(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
                     f"(wanted {n} bytes, {size - offset} left)")
             return f.read(n)
 
+        def read_text(n: int, what: str) -> str:
+            offset = f.tell()
+            try:
+                return read(n, what).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ContainerError(
+                    f"{path}: corrupt {what} at offset {offset + exc.start} (not UTF-8)") from None
+
         magic = read(4, "magic")
         if magic != MAGIC:
             raise ContainerError(f"{path}: bad magic {magic!r} at offset 0, not a SEVX container")
@@ -87,7 +95,7 @@ def read_container(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
         if version != VERSION:
             raise ContainerError(f"{path}: unsupported container version {version} at offset 4")
         (meta_len,) = struct.unpack("<Q", read(8, "metadata length"))
-        meta = read(meta_len, "metadata block").decode("utf-8")
+        meta = read_text(meta_len, "metadata block")
         while True:
             head = f.read(8)
             if len(head) == 0:
@@ -97,12 +105,19 @@ def read_container(path: str) -> tuple[str, "OrderedDict[str, np.ndarray]"]:
                     f"{path}: truncated tensor header at offset {f.tell() - len(head)}")
             (name_len,) = struct.unpack("<Q", head)
             name_offset = f.tell()
-            name = read(name_len, "tensor name").decode("utf-8")
+            name = read_text(name_len, "tensor name")
             if name in tensors:
                 raise ContainerError(
                     f"{path}: duplicate tensor name {name!r} at offset {name_offset}")
             (rank,) = struct.unpack("<Q", read(8, f"rank of {name!r}"))
+            dims_offset = f.tell()
             dims = struct.unpack(f"<{rank}Q", read(8 * rank, f"dims of {name!r}"))
             payload = read(4 * math.prod(dims), f"payload of {name!r}")
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            try:
+                array = np.frombuffer(payload, dtype="<f4").reshape(dims)
+            except ValueError:
+                raise ContainerError(
+                    f"{path}: corrupt dims of {name!r} at offset {dims_offset}: "
+                    f"{dims} is not a valid shape") from None
+            tensors[name] = array.copy()
     return meta, tensors

@@ -2,8 +2,9 @@
 analyze, gradcheck.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime numeric failure,
-3 missing artifact. SEVERIF_SEED overrides the config seed. Every command
-freezes its resolved config under <out>/configs/ for the audit trail.
+3 missing or corrupt artifact. SEVERIF_SEED overrides the config seed. Every
+command but gradcheck freezes its resolved config under <out>/configs/ for
+the audit trail.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from . import tensor as tensor_mod
 from .checkpoint import ContainerError, metadata_to_text, write_container
 from .config import ConfigError, RunConfig, parse_config_text
 from .gradcheck import run_suite
-from .metrics import (DCFParams, metrics_report, read_trials, score_set_from_files,
-                      write_metrics_report)
+from .metrics import metrics_report, read_trials, score_set_from_files, write_metrics_report
 from .pipeline import (CHECKPOINT_NAME, MissingArtifactError, SCORES_NAME, TRIALS_NAME,
                        corpus_dir, evaluate_checkpoint, extract_embeddings, load_checkpoint,
                        load_corpus, run_ablation, run_training, write_corpus)
+from .se import POOLINGS
 from .tensor import NumericError
 
 EXIT_OK = 0
@@ -67,21 +68,21 @@ def _print(msg: str) -> None:
     print(msg, flush=True)
 
 
+def _checkpoint_path(args, config: RunConfig) -> str:
+    return args.checkpoint or os.path.join(config.out_dir, "train", CHECKPOINT_NAME)
+
+
 # ---- subcommands ------------------------------------------------------------
 
 
-def cmd_make_data(args) -> int:
-    config = load_run_config(args)
-    freeze_config(config, "make-data")
+def cmd_make_data(args, config: RunConfig) -> int:
     cdir = write_corpus(config)
     n = config["data.num_speakers"] * config["data.utts_per_speaker"]
     _print(f"wrote corpus: {n} utterances, {config['data.num_speakers']} speakers -> {cdir}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    config = load_run_config(args)
-    freeze_config(config, "train")
+def cmd_train(args, config: RunConfig) -> int:
     utts = load_corpus(corpus_dir(config))
     run_dir = os.path.join(config.out_dir, "train")
     result = run_training(config, utts, run_dir, log_fn=_print)
@@ -89,18 +90,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    config = load_run_config(args)
-    freeze_config(config, "ablate")
+def cmd_ablate(args, config: RunConfig) -> int:
     results = run_ablation(config, args.grid, log_fn=_print)
     _print(f"ablation results -> {results}")
     return EXIT_OK
 
 
-def cmd_extract(args) -> int:
-    config = load_run_config(args)
-    freeze_config(config, "extract")
-    ckpt = args.checkpoint or os.path.join(config.out_dir, "train", CHECKPOINT_NAME)
+def cmd_extract(args, config: RunConfig) -> int:
+    ckpt = _checkpoint_path(args, config)
     model, _head, _meta = load_checkpoint(ckpt)
     utts = load_corpus(corpus_dir(config))
     emb = extract_embeddings(model, utts)
@@ -113,10 +110,8 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def cmd_score(args) -> int:
-    config = load_run_config(args)
-    freeze_config(config, "score")
-    ckpt = args.checkpoint or os.path.join(config.out_dir, "train", CHECKPOINT_NAME)
+def cmd_score(args, config: RunConfig) -> int:
+    ckpt = _checkpoint_path(args, config)
     trials_path = args.trials or os.path.join(corpus_dir(config), TRIALS_NAME)
     if not os.path.exists(trials_path):
         raise MissingArtifactError(f"trial list not found: {trials_path}")
@@ -125,23 +120,20 @@ def cmd_score(args) -> int:
     out_dir = os.path.join(config.out_dir, "scores")
     os.makedirs(out_dir, exist_ok=True)
     scores_path = os.path.join(out_dir, SCORES_NAME)
-    dcf = DCFParams(config["eval.p_target"], config["eval.c_miss"], config["eval.c_fa"])
-    report = evaluate_checkpoint(ckpt, utts, trials, dcf, scores_path=scores_path)
+    report = evaluate_checkpoint(ckpt, utts, trials, config.dcf_params(),
+                                 scores_path=scores_path)
     _print(f"scores -> {scores_path} (eer={report['eer_percent']}%)")
     return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
-    config = load_run_config(args)
-    freeze_config(config, "metrics")
+def cmd_metrics(args, config: RunConfig) -> int:
     scores_path = args.scores or os.path.join(config.out_dir, "scores", SCORES_NAME)
     trials_path = args.trials or os.path.join(corpus_dir(config), TRIALS_NAME)
     for path in (scores_path, trials_path):
         if not os.path.exists(path):
             raise MissingArtifactError(f"missing input: {path}")
     scoreset = score_set_from_files(trials_path, scores_path)
-    dcf = DCFParams(config["eval.p_target"], config["eval.c_miss"], config["eval.c_fa"])
-    report = metrics_report(scoreset, dcf)
+    report = metrics_report(scoreset, config.dcf_params())
     out_dir = os.path.join(config.out_dir, "metrics")
     os.makedirs(out_dir, exist_ok=True)
     write_metrics_report(os.path.join(out_dir, "metrics.tsv"), report)
@@ -150,10 +142,8 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    config = load_run_config(args)
-    freeze_config(config, "analyze")
-    ckpt = args.checkpoint or os.path.join(config.out_dir, "train", CHECKPOINT_NAME)
+def cmd_analyze(args, config: RunConfig) -> int:
+    ckpt = _checkpoint_path(args, config)
     model, _head, _meta = load_checkpoint(ckpt)
     utts = load_corpus(corpus_dir(config))
     records = analysis_mod.capture_excitations(
@@ -210,7 +200,7 @@ def build_parser() -> _Parser:
     add("train", cmd_train, help="train a model on the corpus")
     p = add("ablate", cmd_ablate, help="sweep an SE configuration grid")
     p.add_argument("--grid", required=True,
-                   help="e.g. 'stages=1|1,2|1,2,3|1,2,3,4' or 'pooling=max|mean|std|mean_std'")
+                   help=f"e.g. 'stages=1|1,2|1,2,3|1,2,3,4' or 'pooling={'|'.join(POOLINGS)}'")
     p = add("extract", cmd_extract, help="extract embeddings for the corpus")
     p.add_argument("--checkpoint")
     p = add("score", cmd_score, help="score the trial list with a checkpoint")
@@ -236,7 +226,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.sequential:
             tensor_mod.set_sequential(True)
-        return args.fn(args)
+        if args.fn is cmd_gradcheck:
+            return cmd_gradcheck(args)
+        config = load_run_config(args)
+        freeze_config(config, args.command)
+        return args.fn(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,9 @@
-"""Dotted-key run configuration: text files of ``key = value`` lines,
-validated against a fixed schema with defaults. Unknown keys are fatal."""
+"""Dotted-key run configuration: text files of ``key = value`` lines with
+defaults. Unknown keys are fatal.
+
+Model, SE, data and eval values are checked by the spec objects they build
+(``ModelSpec``, ``SEConfig``, ``SynthSpec``, ``DCFParams``), which also own
+their defaults; the schema checks only the keys no spec object owns."""
 
 from __future__ import annotations
 
@@ -7,6 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .features import SynthSpec
+from .metrics import DCFParams
 from .model import ModelSpec
 from .se import SEConfig
 
@@ -23,71 +28,42 @@ def _nonneg(x) -> bool:
     return x >= 0
 
 
-def _one_of(*choices):
-    return lambda x: x in choices
-
-
-def _stage_list(text: str) -> frozenset[int]:
-    if not text.strip():
-        return frozenset()
-    try:
-        stages = frozenset(int(s) for s in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"se.stages: expected a comma list of stage numbers, got {text!r}") from exc
-    if not stages <= {1, 2, 3, 4}:
-        raise ConfigError(f"se.stages must be within 1..4, got {sorted(stages)}")
-    return stages
-
-
 @dataclass(frozen=True)
 class _Field:
     parse: Callable[[str], Any]
     default: Any
     check: Callable[[Any], bool] | None = None
-    help: str = ""
-
-
-def _int(text: str) -> int:
-    return int(text)
-
-
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _str(text: str) -> str:
-    return text
 
 
 SCHEMA: dict[str, _Field] = {
-    "seed": _Field(_int, 1234),
-    "out": _Field(_str, "runs/exp"),
-    "model.scale_factor": _Field(_float, 1.0, _positive),
-    "model.embedding_dim": _Field(_int, 256, _positive),
-    "model.input_mel_bins": _Field(_int, 60, _positive),
-    "model.segment_frames": _Field(_int, 400, _positive),
-    "model.temporal_pooling": _Field(_str, "mean", _one_of("mean", "mean_std")),
-    "se.pooling": _Field(_str, "mean_std", _one_of("max", "mean", "std", "mean_std")),
-    "se.reduction": _Field(_int, 4, _positive),
-    "se.hidden_layers": _Field(_int, 2, _positive),
-    "se.integration": _Field(_str, "standard", _one_of("standard", "pre", "post", "identity")),
-    "se.stages": _Field(_str, "1,2"),
-    "optim.lr": _Field(_float, 0.2, _positive),
-    "optim.momentum": _Field(_float, 0.9, _nonneg),
-    "optim.weight_decay": _Field(_float, 2e-4, _nonneg),
-    "optim.batch_size": _Field(_int, 32, _positive),
-    "optim.epochs": _Field(_int, 30, _positive),
-    "optim.lr_decay_milestones": _Field(_str, "0.5,0.75"),
-    "optim.lr_decay_factor": _Field(_float, 0.1, _positive),
-    "data.num_speakers": _Field(_int, 20, lambda x: x >= 2),
-    "data.utts_per_speaker": _Field(_int, 50, _positive),
-    "data.frames_per_utt": _Field(_int, 400, _positive),
-    "data.signature_rank": _Field(_int, 3, _positive),
-    "data.noise_level": _Field(_float, 0.1, _nonneg),
-    "data.chunk_frames": _Field(_int, 400, _positive),
-    "eval.p_target": _Field(_float, 0.01, lambda x: 0 < x < 1),
-    "eval.c_miss": _Field(_float, 1.0, _positive),
-    "eval.c_fa": _Field(_float, 1.0, _positive),
+    "seed": _Field(int, 1234),
+    "out": _Field(str, "runs/exp"),
+    "model.scale_factor": _Field(float, ModelSpec.scale_factor),
+    "model.embedding_dim": _Field(int, ModelSpec.embedding_dim),
+    "model.input_mel_bins": _Field(int, ModelSpec.input_mel_bins),
+    "model.segment_frames": _Field(int, ModelSpec.segment_frames),
+    "model.temporal_pooling": _Field(str, ModelSpec.temporal_pooling),
+    "se.pooling": _Field(str, SEConfig.pooling),
+    "se.reduction": _Field(int, SEConfig.reduction_factor),
+    "se.hidden_layers": _Field(int, SEConfig.hidden_layers),
+    "se.integration": _Field(str, SEConfig.integration),
+    "se.stages": _Field(str, SEConfig().to_metadata()["se.stages"]),
+    "optim.lr": _Field(float, 0.2, _positive),
+    "optim.momentum": _Field(float, 0.9, _nonneg),
+    "optim.weight_decay": _Field(float, 2e-4, _nonneg),
+    "optim.batch_size": _Field(int, 32, _positive),
+    "optim.epochs": _Field(int, 30, _positive),
+    "optim.lr_decay_milestones": _Field(str, "0.5,0.75"),
+    "optim.lr_decay_factor": _Field(float, 0.1, _positive),
+    "data.num_speakers": _Field(int, SynthSpec.num_speakers),
+    "data.utts_per_speaker": _Field(int, SynthSpec.utts_per_speaker),
+    "data.frames_per_utt": _Field(int, SynthSpec.frames_per_utt),
+    "data.signature_rank": _Field(int, SynthSpec.speaker_signature_rank),
+    "data.noise_level": _Field(float, SynthSpec.noise_level),
+    "data.chunk_frames": _Field(int, 400, _positive),
+    "eval.p_target": _Field(float, DCFParams.p_target),
+    "eval.c_miss": _Field(float, DCFParams.cost_miss),
+    "eval.c_fa": _Field(float, DCFParams.cost_fa),
 }
 
 
@@ -125,9 +101,12 @@ class RunConfig:
             if field.check is not None and not field.check(value):
                 raise ConfigError(f"{key}: invalid value {value!r}")
             self.values[key] = value
-        # cross-field validation that the schema cannot express per key
-        _stage_list(self.values["se.stages"])
         self._parse_milestones()
+        try:
+            for build in (self.model_spec, self.se_config, self.synth_spec, self.dcf_params):
+                build()
+        except ValueError as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
 
     def _parse_milestones(self) -> tuple[float, ...]:
         text = self.values["optim.lr_decay_milestones"]
@@ -139,16 +118,11 @@ class RunConfig:
             raise ConfigError("optim.lr_decay_milestones must lie in (0, 1)")
         return ms
 
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls(parse_config_text(f.read()))
-
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
 
     def with_overrides(self, **kv: str) -> "RunConfig":
-        merged = {k: str(v) for k, v in self.as_text_dict().items()}
+        merged = self.as_text_dict()
         merged.update({k: str(v) for k, v in kv.items()})
         return RunConfig(merged)
 
@@ -170,23 +144,12 @@ class RunConfig:
         return self.values["out"]
 
     def model_spec(self, num_speakers: int | None = None) -> ModelSpec:
-        return ModelSpec(
-            input_mel_bins=self.values["model.input_mel_bins"],
-            segment_frames=self.values["model.segment_frames"],
-            embedding_dim=self.values["model.embedding_dim"],
-            num_speakers=num_speakers if num_speakers is not None else self.values["data.num_speakers"],
-            scale_factor=self.values["model.scale_factor"],
-            temporal_pooling=self.values["model.temporal_pooling"],
-        )
+        text = self.as_text_dict()
+        n = text["data.num_speakers"] if num_speakers is None else str(num_speakers)
+        return ModelSpec.from_metadata({**text, "model.num_speakers": n})
 
     def se_config(self) -> SEConfig:
-        return SEConfig(
-            pooling=self.values["se.pooling"],
-            reduction_factor=self.values["se.reduction"],
-            hidden_layers=self.values["se.hidden_layers"],
-            integration=self.values["se.integration"],
-            stages=_stage_list(self.values["se.stages"]),
-        )
+        return SEConfig.from_metadata(self.as_text_dict())
 
     def synth_spec(self) -> SynthSpec:
         return SynthSpec(
@@ -197,6 +160,10 @@ class RunConfig:
             noise_level=self.values["data.noise_level"],
             seed=self.seed,
         )
+
+    def dcf_params(self) -> DCFParams:
+        return DCFParams(self.values["eval.p_target"], self.values["eval.c_miss"],
+                         self.values["eval.c_fa"])
 
     def lr_milestones(self) -> tuple[float, ...]:
         return self._parse_milestones()

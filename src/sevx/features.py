@@ -57,12 +57,14 @@ class SynthSpec:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.num_speakers < 2:
+        if not self.num_speakers >= 2:
             raise ValueError("num_speakers must be >= 2")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
-        if self.utts_per_speaker < 1 or self.frames_per_utt < 1:
+        if not self.noise_level >= 0:
+            raise ValueError(f"noise_level must be >= 0, got {self.noise_level!r}")
+        if not (self.utts_per_speaker >= 1 and self.frames_per_utt >= 1):
             raise ValueError("utts_per_speaker and frames_per_utt must be >= 1")
+        if not self.speaker_signature_rank >= 1:
+            raise ValueError("speaker_signature_rank must be >= 1")
 
 
 def hz_to_mel(hz):

@@ -39,7 +39,7 @@ class DCFParams:
     def __post_init__(self):
         if not 0 < self.p_target < 1:
             raise ValueError("p_target must be in (0, 1)")
-        if self.cost_miss <= 0 or self.cost_fa <= 0:
+        if not (self.cost_miss > 0 and self.cost_fa > 0):
             raise ValueError("costs must be positive")
 
 

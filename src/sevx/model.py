@@ -5,7 +5,7 @@ SGD-with-momentum training step."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,9 +36,10 @@ class ModelSpec:
     def __post_init__(self):
         if not (len(self.stage_blocks) == len(self.stage_channels) == len(self.stage_strides) == 4):
             raise ValueError("stage arrays must all have length 4")
-        if self.embedding_dim <= 0:
-            raise ValueError("embedding_dim must be positive")
-        if self.num_speakers < 2:
+        for name in ("scale_factor", "input_mel_bins", "segment_frames", "embedding_dim"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not self.num_speakers >= 2:
             raise ValueError("num_speakers must be >= 2")
         if self.temporal_pooling not in ("mean", "mean_std"):
             raise ValueError("temporal_pooling must be 'mean' or 'mean_std'")
@@ -70,23 +71,16 @@ class ModelSpec:
 
     @classmethod
     def from_metadata(cls, meta: dict[str, str]) -> "ModelSpec":
-        def ints(key, default):
-            if key not in meta:
-                return default
-            return tuple(int(v) for v in meta[key].split(","))
-
-        return cls(
-            stage_blocks=ints("model.stage_blocks", (3, 4, 6, 3)),
-            stage_channels=ints("model.stage_channels", (128, 128, 256, 256)),
-            stage_strides=ints("model.stage_strides", (1, 2, 2, 2)),
-            stem_channels=int(meta.get("model.stem_channels", "128")),
-            input_mel_bins=int(meta.get("model.input_mel_bins", "60")),
-            segment_frames=int(meta.get("model.segment_frames", "400")),
-            embedding_dim=int(meta.get("model.embedding_dim", "256")),
-            num_speakers=int(meta.get("model.num_speakers", "20")),
-            scale_factor=float(meta.get("model.scale_factor", "1.0")),
-            temporal_pooling=meta.get("model.temporal_pooling", "mean"),
-        )
+        """Inverse of ``to_metadata``; a missing key takes the field default,
+        whose type also picks the parser."""
+        kwargs = {}
+        for f in fields(cls):
+            text = meta.get(f"model.{f.name}")
+            if text is None:
+                continue
+            kwargs[f.name] = (tuple(int(v) for v in text.split(","))
+                              if isinstance(f.default, tuple) else type(f.default)(text))
+        return cls(**kwargs)
 
 
 class BasicBlock:

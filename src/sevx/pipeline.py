@@ -323,8 +323,7 @@ def evaluate_checkpoint(ckpt_path: str, utts, trials, dcf: DCFParams,
     rows = score_trials(emb, trials)
     if scores_path:
         write_scores(scores_path, rows)
-    lookup = {(e, t): s for e, t, s in rows}
-    scoreset = ScoreSet((t, lookup[(t.enroll_id, t.test_id)]) for t in trials)
+    scoreset = ScoreSet((t, score) for t, (_e, _t, score) in zip(trials, rows))
     return metrics_report(scoreset, dcf)
 
 
@@ -400,8 +399,6 @@ def run_ablation(config: RunConfig, grid_text: str, log_fn=None) -> str:
     axes = parse_grid(grid_text)
     utts = load_corpus(corpus_dir(config))
     trials = read_trials(os.path.join(corpus_dir(config), TRIALS_NAME))
-    dcf = DCFParams(p_target=config["eval.p_target"], cost_miss=config["eval.c_miss"],
-                    cost_fa=config["eval.c_fa"])
     abl_dir = os.path.join(config.out_dir, "ablation")
     os.makedirs(abl_dir, exist_ok=True)
     results_path = os.path.join(abl_dir, "results.tsv")
@@ -419,7 +416,7 @@ def run_ablation(config: RunConfig, grid_text: str, log_fn=None) -> str:
             cdir = os.path.join(abl_dir, "cells", cell_dirname(cell))
             result = run_training(cell_cfg, utts, cdir, log_fn=log_fn)
             report = evaluate_checkpoint(
-                result.checkpoint_path, utts, trials, dcf,
+                result.checkpoint_path, utts, trials, config.dcf_params(),
                 scores_path=os.path.join(cdir, SCORES_NAME))
             write_metrics_report(os.path.join(cdir, METRICS_NAME), report)
             se_cfg = cell_cfg.se_config()

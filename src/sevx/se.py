@@ -45,10 +45,10 @@ class SEConfig:
         if self.integration not in INTEGRATIONS:
             raise ValueError(
                 f"unknown SE integration {self.integration!r}, expected one of {INTEGRATIONS}")
-        if self.reduction_factor < 1:
-            raise ValueError("reduction factor must be >= 1")
-        if self.hidden_layers < 1:
-            raise ValueError("hidden layer count must be >= 1")
+        if not self.reduction_factor >= 1:
+            raise ValueError(f"reduction factor must be >= 1, got {self.reduction_factor!r}")
+        if not self.hidden_layers >= 1:
+            raise ValueError(f"hidden layer count must be >= 1, got {self.hidden_layers!r}")
         stages = frozenset(int(s) for s in self.stages)
         if not stages <= {1, 2, 3, 4}:
             raise ValueError(f"SE stages must be a subset of {{1,2,3,4}}, got {sorted(stages)}")
@@ -89,15 +89,24 @@ class SEConfig:
 
     @classmethod
     def from_metadata(cls, meta: dict[str, str]) -> "SEConfig":
-        stages_text = meta.get("se.stages", "")
-        stages = frozenset(int(s) for s in stages_text.split(",") if s.strip())
-        return cls(
-            pooling=meta.get("se.pooling", "mean_std"),
-            reduction_factor=int(meta.get("se.reduction", "4")),
-            hidden_layers=int(meta.get("se.hidden_layers", "2")),
-            integration=meta.get("se.integration", "standard"),
-            stages=stages,
-        )
+        """Inverse of ``to_metadata``. A missing key takes the field default,
+        except a missing ``se.stages``, which means SE off (not ``{1, 2}``)."""
+        parsers = {"se.pooling": ("pooling", str), "se.reduction": ("reduction_factor", int),
+                   "se.hidden_layers": ("hidden_layers", int),
+                   "se.integration": ("integration", str)}
+        kwargs = {name: parse(meta[key]) for key, (name, parse) in parsers.items() if key in meta}
+        return cls(stages=_parse_stages(meta.get("se.stages", "")), **kwargs)
+
+
+def _parse_stages(text: str) -> frozenset[int]:
+    """``"1,3"`` -> {1, 3}; blank text is no stages."""
+    if not text.strip():
+        return frozenset()
+    try:
+        return frozenset(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"se.stages: expected a comma list of stage numbers, got {text!r}") from None
 
 
 def squeeze(x: Tensor, pooling: str) -> Tensor:

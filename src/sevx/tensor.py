@@ -181,12 +181,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -397,25 +391,6 @@ class Tensor:
             a._accum_new(g * data * (1.0 - data))
 
         return Tensor._from_op(data, (a,), backward)
-
-    def exp(self):
-        data = np.exp(self.data)
-        a = self
-
-        def backward(g):
-            a._accum_new(g * data)
-
-        return Tensor._from_op(data, (a,), backward)
-
-    def log(self):
-        if np.any(self.data <= 0):
-            raise NumericError("log: nonpositive input")
-        a = self
-
-        def backward(g):
-            a._accum_new(g / a.data)
-
-        return Tensor._from_op(np.log(self.data), (a,), backward)
 
     def sqrt(self):
         if np.any(self.data < 0):

@@ -117,6 +117,21 @@ class TestCorruption:
         with pytest.raises(ContainerError, match=f"{what} at offset"):
             read_container(path)
 
+    # undecodable text and unallocatable shapes are corrupt artifacts, not usage errors
+    @pytest.mark.parametrize("delta, data, what", [
+        (-6, b"\xff", "metadata block at offset 16"),
+        (8, b"\xff", "tensor name at offset 30"),
+        (8 + 1 + 8, struct.pack("<2Q", 0, 2 ** 63), "dims of 'x' at offset 39"),
+    ], ids=["metadata utf-8", "name utf-8", "dims 0 x 2^63"])
+    def test_corrupt_field_reports_offset(self, tmp_path, delta, data, what):
+        path, name_len_at = one_tensor_container(tmp_path)
+        raw = bytearray(open(path, "rb").read())
+        raw[name_len_at + delta:name_len_at + delta + len(data)] = data
+        with open(path, "wb") as f:
+            f.write(raw)
+        with pytest.raises(ContainerError, match=what):
+            read_container(path)
+
     def test_duplicate_tensor_name_rejected(self, tmp_path):
         path, name_len_at = one_tensor_container(tmp_path)
         data = open(path, "rb").read()

@@ -3,7 +3,40 @@
 import numpy as np
 import pytest
 
-from sevx.config import ConfigError, RunConfig, parse_config_text
+from sevx.config import SCHEMA, ConfigError, RunConfig, parse_config_text
+from sevx.model import ModelSpec
+from sevx.se import SEConfig
+
+# at least one rejected value per validated key; nan for every bounded float
+INVALID_VALUES = {
+    "seed": ["x", "1.5"],
+    "model.scale_factor": ["0", "-1", "nan", "x"],
+    "model.embedding_dim": ["0", "-1", "0.5"],
+    "model.input_mel_bins": ["0", "-1"],
+    "model.segment_frames": ["0", "-1"],
+    "model.temporal_pooling": ["max", ""],
+    "se.pooling": ["avg", ""],
+    "se.reduction": ["0", "-1", "x"],
+    "se.hidden_layers": ["0", "-1"],
+    "se.integration": ["diagonal", ""],
+    "se.stages": ["1,9", "1,x", "0", "-1", "1,,2", "1,"],
+    "optim.lr": ["0", "-1", "nan"],
+    "optim.momentum": ["-0.1", "nan"],
+    "optim.weight_decay": ["-1", "nan"],
+    "optim.batch_size": ["0", "-1"],
+    "optim.epochs": ["0"],
+    "optim.lr_decay_milestones": ["0", "1.5", "nan", "x"],
+    "optim.lr_decay_factor": ["0", "nan"],
+    "data.num_speakers": ["1", "0"],
+    "data.utts_per_speaker": ["0"],
+    "data.frames_per_utt": ["0"],
+    "data.signature_rank": ["0"],
+    "data.noise_level": ["-0.1", "nan"],
+    "data.chunk_frames": ["0"],
+    "eval.p_target": ["0", "1", "1.5", "nan"],
+    "eval.c_miss": ["0", "-1", "nan"],
+    "eval.c_fa": ["0", "-1", "nan"],
+}
 
 
 class TestParsing:
@@ -37,13 +70,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="optim.lr"):
             RunConfig({"optim.lr": "fast"})
 
-    def test_invalid_value_rejected(self):
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key, values in INVALID_VALUES.items() for value in values])
+    def test_invalid_value_rejected(self, key, value):
         with pytest.raises(ConfigError):
-            RunConfig({"data.num_speakers": "1"})
-        with pytest.raises(ConfigError):
-            RunConfig({"se.integration": "diagonal"})
-        with pytest.raises(ConfigError):
-            RunConfig({"eval.p_target": "1.5"})
+            RunConfig({key: value})
+
+    def test_every_checked_key_has_invalid_values(self):
+        assert set(INVALID_VALUES) == set(SCHEMA) - {"out"}
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -96,3 +130,32 @@ class TestTypedViews:
         assert cfg.lr_milestones() == (0.25, 0.5)
         with pytest.raises(ConfigError):
             RunConfig({"optim.lr_decay_milestones": "1.5"})
+
+
+class TestSpecMetadata:
+    def test_model_spec_round_trip(self):
+        spec = ModelSpec(stage_blocks=(1, 2, 1, 1), stage_channels=(8, 8, 16, 24),
+                         stage_strides=(1, 1, 2, 2), stem_channels=12, input_mel_bins=40,
+                         segment_frames=96, embedding_dim=32, num_speakers=5,
+                         scale_factor=0.3, temporal_pooling="mean_std")
+        assert ModelSpec.from_metadata(spec.to_metadata()) == spec
+
+    def test_model_spec_missing_keys_take_defaults(self):
+        assert ModelSpec.from_metadata({}) == ModelSpec()
+        assert ModelSpec.from_metadata({"model.embedding_dim": "64"}) == ModelSpec(embedding_dim=64)
+
+    @pytest.mark.parametrize("se", [
+        SEConfig(),
+        SEConfig(pooling="max", reduction_factor=8, hidden_layers=3, integration="pre",
+                 stages=frozenset({2, 4})),
+        SEConfig(stages=frozenset()),
+    ])
+    def test_se_config_round_trip(self, se):
+        assert SEConfig.from_metadata(se.to_metadata()) == se
+
+    def test_se_metadata_without_stages_is_se_off(self):
+        assert not SEConfig.from_metadata({}).enabled
+        se = SEConfig.from_metadata({"se.pooling": "std"})
+        assert not se.enabled
+        assert se.pooling == "std"
+        assert se.reduction_factor == SEConfig().reduction_factor
