@@ -70,9 +70,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="optim.lr"):
             RunConfig({"optim.lr": "fast"})
 
+    def test_invalid_value_rejected(self):
+        with pytest.raises(ConfigError):
+            RunConfig({"data.num_speakers": "1"})
+        with pytest.raises(ConfigError):
+            RunConfig({"se.integration": "diagonal"})
+        with pytest.raises(ConfigError):
+            RunConfig({"eval.p_target": "1.5"})
+
     @pytest.mark.parametrize("key, value", [
         (key, value) for key, values in INVALID_VALUES.items() for value in values])
-    def test_invalid_value_rejected(self, key, value):
+    def test_invalid_value_rejected_per_key(self, key, value):
         with pytest.raises(ConfigError):
             RunConfig({key: value})
 
