@@ -14,12 +14,9 @@ import argparse
 import os
 import sys
 
-from run_toy_experiment import TOY_CONFIG
+from run_toy_experiment import write_config
 from sevx.cli import main as sevx_main
 from sevx.se import INTEGRATIONS, POOLINGS
-
-# the toy experiment's config, with half its epochs per ablation cell
-BASE_CONFIG = TOY_CONFIG.replace("optim.epochs = 16", "optim.epochs = 8")
 
 SWEEPS = {
     "stages": "stages=|1|1,2|1,2,3|1,2,3,4",
@@ -48,8 +45,8 @@ def main() -> int:
         out = os.path.join(args.out, axis)
         os.makedirs(out, exist_ok=True)
         cfg_path = os.path.join(out, "base.cfg")
-        with open(cfg_path, "w") as f:
-            f.write(BASE_CONFIG.format(seed=args.seed, out=out))
+        # the toy experiment's config, with half its epochs per ablation cell
+        write_config(cfg_path, {"seed": str(args.seed), "out": out, "optim.epochs": "8"})
         rc = sevx_main(["--sequential", "make-data", "--config", cfg_path])
         if rc != 0:
             return rc

@@ -9,28 +9,15 @@ Usage: python scripts/run_toy_experiment.py [--out runs/toy] [--seed 2024]
 import argparse
 import os
 import sys
-import tempfile
 
 from sevx.cli import main as sevx_main
+from sevx.config import TOY_CONFIG, RunConfig
 
-TOY_CONFIG = """\
-seed = {seed}
-out = {out}
-model.scale_factor = 0.125
-model.segment_frames = 64
-data.num_speakers = 20
-data.utts_per_speaker = 8
-data.frames_per_utt = 64
-data.chunk_frames = 64
-data.noise_level = 0.25
-optim.batch_size = 20
-optim.epochs = 16
-optim.lr = 0.15
-se.stages = 1,2
-se.reduction = 4
-se.hidden_layers = 2
-se.pooling = mean_std
-"""
+
+def write_config(path: str, overrides: dict[str, str]) -> None:
+    """Write the toy config with ``overrides`` as a resolved config file."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(RunConfig({**TOY_CONFIG, **overrides}).render())
 
 
 def main() -> int:
@@ -44,8 +31,7 @@ def main() -> int:
 
     os.makedirs(args.out, exist_ok=True)
     cfg_path = os.path.join(args.out, "toy.cfg")
-    with open(cfg_path, "w") as f:
-        f.write(TOY_CONFIG.format(seed=args.seed, out=args.out))
+    write_config(cfg_path, {"seed": str(args.seed), "out": args.out})
 
     for step in (["make-data"], ["train"], ["score"], ["metrics"], ["analyze"]):
         rc = sevx_main(["--sequential"] + step + ["--config", cfg_path])
@@ -55,10 +41,8 @@ def main() -> int:
     if args.analyze_all_stages:
         all_out = os.path.join(args.out, "allstages")
         all_cfg = os.path.join(args.out, "toy_allstages.cfg")
-        with open(all_cfg, "w") as f:
-            f.write(TOY_CONFIG.format(seed=args.seed, out=all_out)
-                    .replace("se.stages = 1,2", "se.stages = 1,2,3,4")
-                    .replace("optim.epochs = 16", "optim.epochs = 6"))
+        write_config(all_cfg, {"seed": str(args.seed), "out": all_out,
+                               "se.stages": "1,2,3,4", "optim.epochs": "6"})
         for step in (["make-data"], ["train"], ["analyze"]):
             rc = sevx_main(["--sequential"] + step + ["--config", all_cfg])
             if rc != 0:

@@ -67,6 +67,27 @@ SCHEMA: dict[str, _Field] = {
 }
 
 
+# The desk-scale toy run shared by the acceptance tests and scripts/: scale
+# 1/8, 20 speakers of 8 utterances, SE at stages 1-2 (r=4, h=2, mean+std).
+TOY_CONFIG: dict[str, str] = {
+    "seed": "2024",
+    "model.scale_factor": "0.125",
+    "model.segment_frames": "64",
+    "data.num_speakers": "20",
+    "data.utts_per_speaker": "8",
+    "data.frames_per_utt": "64",
+    "data.chunk_frames": "64",
+    "data.noise_level": "0.25",
+    "optim.batch_size": "20",
+    "optim.epochs": "16",
+    "optim.lr": "0.15",
+    "se.stages": "1,2",
+    "se.reduction": "4",
+    "se.hidden_layers": "2",
+    "se.pooling": "mean_std",
+}
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw key -> value strings from ``key = value`` lines."""
     raw: dict[str, str] = {}

@@ -1,19 +1,23 @@
 """Central finite-difference gradient oracle.
 
 The oracle runs the graph in float64 (the engine's mirror precision) and
-perturbs every input entry by +/-eps, so it is independent of the backward
-rules it checks. ``run_suite`` covers every differentiable operation in the
-package and backs the ``gradcheck`` CLI command.
+perturbs every leaf entry by +/-eps in place, so it is independent of the
+backward rules it checks. ``run_suite`` covers every differentiable
+operation in the package and backs the ``gradcheck`` CLI command.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .model import AAMHead, aam_loss
+from .nn import BatchNorm2d, Conv2d, Linear, temporal_stats_pool
+from .se import POOLINGS, SEConfig, SEUnit, se_apply, squeeze
+from .tensor import Tensor, no_grad
 
 DEFAULT_EPS = 1e-3
 DEFAULT_RTOL = 1e-3
@@ -37,53 +41,53 @@ class GradCheckResult:
 
 
 def finite_difference(
-    fn: Callable[[Sequence[np.ndarray]], float],
-    arrays: Sequence[np.ndarray],
+    loss_fn: Callable[[], Tensor],
+    leaves: Sequence[Tensor],
     eps: float = DEFAULT_EPS,
 ) -> list[np.ndarray]:
-    """Central differences of a scalar function, one array entry at a time."""
+    """Central differences of the scalar ``loss_fn()``, one leaf entry at a time.
+
+    Each entry of ``leaf.data`` is perturbed in place (tensor data is
+    C-contiguous, so ``reshape(-1)`` is a view) and restored afterwards.
+    """
     grads = []
-    for k, arr in enumerate(arrays):
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = fn(arrays)
-            flat[i] = orig - eps
-            fm = fn(arrays)
-            flat[i] = orig
-            gflat[i] = (fp - fm) / (2.0 * eps)
-        grads.append(g)
+    with no_grad():
+        for leaf in leaves:
+            g = np.zeros_like(leaf.data)
+            flat = leaf.data.reshape(-1)
+            gflat = g.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                fp = float(loss_fn().data)
+                flat[i] = orig - eps
+                fm = float(loss_fn().data)
+                flat[i] = orig
+                gflat[i] = (fp - fm) / (2.0 * eps)
+            grads.append(g)
     return grads
 
 
 def check_gradients(
-    build: Callable[[Sequence[Tensor]], Tensor],
-    arrays: Sequence[np.ndarray],
+    loss_fn: Callable[[], Tensor],
+    leaves: Sequence[Tensor],
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     eps: float = DEFAULT_EPS,
 ) -> tuple[bool, float, float]:
-    """Compare reverse-mode gradients of ``build`` against central differences.
+    """Compare reverse-mode gradients of ``loss_fn`` against central differences.
 
-    ``build`` maps a list of float64 tensors to a scalar loss tensor. Returns
-    (passed, max_abs_err, max_rel_err) over all inputs.
+    ``loss_fn`` builds a scalar loss tensor from ``leaves``, the float64
+    tensors on the tape that it reads. Returns (passed, max_abs_err,
+    max_rel_err) over all leaves.
     """
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    tensors = [Tensor(a.copy(), requires_grad=True, dtype=np.float64) for a in arrays]
-    loss = build(tensors)
-    loss.backward()
+    for leaf in leaves:
+        leaf.zero_grad()
+    loss_fn().backward()
     analytic = [
-        t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors
+        t.grad if t.grad is not None else np.zeros_like(t.data) for t in leaves
     ]
-
-    def fn(arrs):
-        ts = [Tensor(a, dtype=np.float64) for a in arrs]
-        return float(build(ts).data)
-
-    numeric = finite_difference(fn, arrays, eps=eps)
+    numeric = finite_difference(loss_fn, leaves, eps=eps)
     max_abs = 0.0
     max_rel = 0.0
     ok = True
@@ -98,8 +102,15 @@ def check_gradients(
     return ok, max_abs, max_rel
 
 
+Case = Callable[[int], tuple[Callable[[], Tensor], list[Tensor]]]
+
+
 def _rand(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=shape)
+
+
+def _leaf(data: np.ndarray) -> Tensor:
+    return Tensor(data, requires_grad=True, dtype=np.float64)
 
 
 def _projected(out: Tensor, seed: int) -> Tensor:
@@ -109,254 +120,78 @@ def _projected(out: Tensor, seed: int) -> Tensor:
     return (out * r).sum()
 
 
-def _case_elementwise(name: str):
+def _op(fn: Callable[..., Tensor], *shapes: tuple[int, ...],
+        prep: Callable[[np.ndarray], np.ndarray] | None = None) -> Case:
+    """``fn`` of fresh uniform leaves of ``shapes``; ``prep`` adjusts the last one."""
+
     def build_case(seed: int):
         rng = np.random.default_rng(seed)
-        a = _rand(rng, 3, 4)
-        b = _rand(rng, 3, 4)
-        if name == "div":
-            b = np.sign(b) * (np.abs(b) + 0.5)
-
-        def build(ts):
-            a_t, b_t = ts
-            if name == "add":
-                out = a_t + b_t
-            elif name == "sub":
-                out = a_t - b_t
-            elif name == "mul":
-                out = a_t * b_t
-            else:
-                out = a_t / b_t
-            return _projected(out, seed + 1)
-
-        return build, [a, b]
+        arrays = [_rand(rng, *shape) for shape in shapes]
+        if prep is not None:
+            arrays[-1] = prep(arrays[-1])
+        leaves = [_leaf(a) for a in arrays]
+        return (lambda: _projected(fn(*leaves), seed + 1)), leaves
 
     return build_case
 
 
-def _case_matmul(seed: int):
-    rng = np.random.default_rng(seed)
-    a = _rand(rng, 3, 4)
-    b = _rand(rng, 4, 2)
+def _layer(make: Callable[[np.random.Generator], object],
+           forward: Callable[[object, Tensor], Tensor], shape: tuple[int, ...]) -> Case:
+    """``forward(layer, x)`` with respect to its input and the layer's own parameters."""
 
-    def build(ts):
-        return _projected(ts[0] @ ts[1], seed + 1)
-
-    return build, [a, b]
-
-
-def _case_unary(name: str):
     def build_case(seed: int):
-        rng = np.random.default_rng(seed)
-        x = _rand(rng, 4, 5)
-        if name == "relu":
-            # keep entries away from the kink at 0
-            x = x + 0.05 * np.sign(x) + (x == 0) * 0.1
-
-        def build(ts):
-            t = ts[0]
-            if name == "relu":
-                out = t.relu()
-            elif name == "sigmoid":
-                out = t.sigmoid()
-            else:
-                out = t.log_softmax(axis=1)
-            return _projected(out, seed + 1)
-
-        return build, [x]
+        x = _leaf(_rand(np.random.default_rng(seed), *shape))
+        layer = make(np.random.default_rng(seed + 7))
+        leaves = [x] + [p for _, p in layer.named_parameters("layer")]
+        return (lambda: _projected(forward(layer, x), seed + 1)), leaves
 
     return build_case
 
 
-def _case_broadcast(seed: int):
+def _aam_case(seed: int):
     rng = np.random.default_rng(seed)
-    a = _rand(rng, 2, 3, 4)
-    b = _rand(rng, 1, 3, 1)
-
-    def build(ts):
-        return _projected(ts[0] * ts[1] + ts[1], seed + 1)
-
-    return build, [a, b]
-
-
-def _case_linear(seed: int):
-    from .nn import Linear
-
-    rng = np.random.default_rng(seed)
-    x = _rand(rng, 3, 5)
-    layer = Linear(5, 4, rng=np.random.default_rng(seed + 7), dtype=np.float64)
-
-    def build(ts):
-        xt, w, b = ts
-        layer.weight = w
-        layer.bias = b
-        return _projected(layer.forward(xt), seed + 1)
-
-    return build, [x, layer.weight.data.copy(), layer.bias.data.copy()]
-
-
-def _case_conv2d(seed: int):
-    from .nn import Conv2d
-
-    rng = np.random.default_rng(seed)
-    x = _rand(rng, 1, 2, 5, 5)
-    layer = Conv2d(2, 2, stride=(1, 1), rng=np.random.default_rng(seed + 7), dtype=np.float64)
-
-    def build(ts):
-        xt, w, b = ts
-        layer.weight = w
-        layer.bias = b
-        return _projected(layer.forward(xt), seed + 1)
-
-    return build, [x, layer.weight.data.copy(), layer.bias.data.copy()]
-
-
-def _case_conv2d_strided(seed: int):
-    from .nn import Conv2d
-
-    rng = np.random.default_rng(seed)
-    x = _rand(rng, 2, 2, 6, 7)
-    layer = Conv2d(2, 3, stride=(2, 2), rng=np.random.default_rng(seed + 7), dtype=np.float64)
-
-    def build(ts):
-        xt, w, b = ts
-        layer.weight = w
-        layer.bias = b
-        return _projected(layer.forward(xt), seed + 1)
-
-    return build, [x, layer.weight.data.copy(), layer.bias.data.copy()]
-
-
-def _case_batchnorm(seed: int):
-    from .nn import BatchNorm2d
-
-    rng = np.random.default_rng(seed)
-    x = _rand(rng, 2, 3, 4, 4)
-    layer = BatchNorm2d(3, dtype=np.float64)
-
-    def build(ts):
-        xt, gamma, beta = ts
-        layer.gamma = gamma
-        layer.beta = beta
-        return _projected(layer.forward(xt, train=True), seed + 1)
-
-    return build, [x, layer.gamma.data.copy(), layer.beta.data.copy()]
-
-
-def _case_squeeze(pooling: str):
-    def build_case(seed: int):
-        from .se import squeeze
-
-        rng = np.random.default_rng(seed)
-        x = _rand(rng, 2, 3, 2, 4)
-
-        def build(ts):
-            return _projected(squeeze(ts[0], pooling), seed + 1)
-
-        return build, [x]
-
-    return build_case
-
-
-def _case_excite(seed: int):
-    from .se import SEConfig, SEUnit
-
-    rng = np.random.default_rng(seed)
-    cfg = SEConfig(pooling="mean", reduction_factor=2, hidden_layers=2)
-    unit = SEUnit(channels=4, config=cfg, rng=np.random.default_rng(seed + 7), dtype=np.float64)
-    z = _rand(rng, 3, 4)
-    arrays = [z] + [p.data.copy() for _, p in unit.named_parameters("se")]
-
-    def build(ts):
-        unit.set_parameter_arrays(ts[1:])
-        return _projected(unit.excite(ts[0]), seed + 1)
-
-    return build, arrays
-
-
-def _case_se_apply(seed: int):
-    from .se import SEConfig, SEUnit, se_apply
-
-    rng = np.random.default_rng(seed)
-    cfg = SEConfig(pooling="mean_std", reduction_factor=2, hidden_layers=2)
-    unit = SEUnit(channels=4, config=cfg, rng=np.random.default_rng(seed + 7), dtype=np.float64)
-    x = _rand(rng, 2, 4, 2, 3)
-    arrays = [x] + [p.data.copy() for _, p in unit.named_parameters("se")]
-
-    def build(ts):
-        unit.set_parameter_arrays(ts[1:])
-        return _projected(se_apply(ts[0], unit), seed + 1)
-
-    return build, arrays
-
-
-def _case_stats_pool(mode: str):
-    def build_case(seed: int):
-        from .nn import temporal_stats_pool
-
-        rng = np.random.default_rng(seed)
-        x = _rand(rng, 2, 3, 2, 5)
-
-        def build(ts):
-            return _projected(temporal_stats_pool(ts[0], mode=mode), seed + 1)
-
-        return build, [x]
-
-    return build_case
-
-
-def _case_aam(seed: int):
-    from .model import AAMHead, aam_loss
-
-    rng = np.random.default_rng(seed)
-    emb = _rand(rng, 4, 8)
-    head = AAMHead(num_speakers=5, embedding_dim=8, rng=np.random.default_rng(seed + 7), dtype=np.float64)
+    emb = _leaf(_rand(rng, 4, 8))
+    head = AAMHead(num_speakers=5, embedding_dim=8, rng=np.random.default_rng(seed + 7),
+                   dtype=np.float64)
     labels = rng.integers(0, 5, size=4)
-
-    def build(ts):
-        e, w = ts
-        head.class_weights = w
-        return aam_loss(e, labels, head)
-
-    return build, [emb, head.class_weights.data.copy()]
+    return (lambda: aam_loss(emb, labels, head)), [emb] + [p for _, p in head.named_parameters()]
 
 
-CASES: dict[str, Callable[[int], tuple]] = {
-    "add": _case_elementwise("add"),
-    "sub": _case_elementwise("sub"),
-    "mul": _case_elementwise("mul"),
-    "div": _case_elementwise("div"),
-    "broadcast": _case_broadcast,
-    "matmul": _case_matmul,
-    "relu": _case_unary("relu"),
-    "sigmoid": _case_unary("sigmoid"),
-    "log_softmax": _case_unary("log_softmax"),
-    "linear": _case_linear,
-    "conv2d": _case_conv2d,
-    "conv2d_stride2": _case_conv2d_strided,
-    "batchnorm": _case_batchnorm,
-    "squeeze_max": _case_squeeze("max"),
-    "squeeze_mean": _case_squeeze("mean"),
-    "squeeze_std": _case_squeeze("std"),
-    "squeeze_mean_std": _case_squeeze("mean_std"),
-    "excite": _case_excite,
-    "se_apply": _case_se_apply,
-    "stats_pool_mean": _case_stats_pool("mean"),
-    "stats_pool_mean_std": _case_stats_pool("mean_std"),
-    "aam_loss": _case_aam,
+def _se_unit(pooling: str):
+    cfg = SEConfig(pooling=pooling, reduction_factor=2, hidden_layers=2)
+    return lambda rng: SEUnit(channels=4, config=cfg, rng=rng, dtype=np.float64)
+
+
+CASES: dict[str, Case] = {
+    "add": _op(lambda a, b: a + b, (3, 4), (3, 4)),
+    "sub": _op(lambda a, b: a - b, (3, 4), (3, 4)),
+    "mul": _op(lambda a, b: a * b, (3, 4), (3, 4)),
+    # keep the denominator away from zero
+    "div": _op(lambda a, b: a / b, (3, 4), (3, 4), prep=lambda b: np.sign(b) * (np.abs(b) + 0.5)),
+    "broadcast": _op(lambda a, b: a * b + b, (2, 3, 4), (1, 3, 1)),
+    "matmul": _op(lambda a, b: a @ b, (3, 4), (4, 2)),
+    # keep entries away from the kink at 0
+    "relu": _op(Tensor.relu, (4, 5), prep=lambda x: x + 0.05 * np.sign(x) + (x == 0) * 0.1),
+    "sigmoid": _op(Tensor.sigmoid, (4, 5)),
+    "log_softmax": _op(partial(Tensor.log_softmax, axis=1), (4, 5)),
+    "linear": _layer(lambda rng: Linear(5, 4, rng=rng, dtype=np.float64), Linear.forward, (3, 5)),
+    "conv2d": _layer(lambda rng: Conv2d(2, 2, stride=(1, 1), rng=rng, dtype=np.float64),
+                     Conv2d.forward, (1, 2, 5, 5)),
+    "conv2d_stride2": _layer(lambda rng: Conv2d(2, 3, stride=(2, 2), rng=rng, dtype=np.float64),
+                             Conv2d.forward, (2, 2, 6, 7)),
+    "batchnorm": _layer(lambda rng: BatchNorm2d(3, dtype=np.float64),
+                        partial(BatchNorm2d.forward, train=True), (2, 3, 4, 4)),
+    **{f"squeeze_{p}": _op(partial(squeeze, pooling=p), (2, 3, 2, 4)) for p in POOLINGS},
+    "excite": _layer(_se_unit("mean"), SEUnit.excite, (3, 4)),
+    "se_apply": _layer(_se_unit("mean_std"), lambda unit, x: se_apply(x, unit), (2, 4, 2, 3)),
+    "stats_pool_mean": _op(partial(temporal_stats_pool, mode="mean"), (2, 3, 2, 5)),
+    "stats_pool_mean_std": _op(partial(temporal_stats_pool, mode="mean_std"), (2, 3, 2, 5)),
+    "aam_loss": _aam_case,
 }
 
 
 def run_case(op: str, seed: int) -> GradCheckResult:
-    build, arrays = CASES[op](seed)
-
-    def wrapped(ts):
-        out = build(ts)
-        if isinstance(out, Tensor):
-            return out
-        raise TypeError("case must return a Tensor")
-
-    ok, max_abs, max_rel = check_gradients(wrapped, arrays)
+    ok, max_abs, max_rel = check_gradients(*CASES[op](seed))
     return GradCheckResult(op=op, seed=seed, passed=ok, max_abs_err=max_abs, max_rel_err=max_rel)
 
 

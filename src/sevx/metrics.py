@@ -39,8 +39,8 @@ class DCFParams:
     def __post_init__(self):
         if not 0 < self.p_target < 1:
             raise ValueError("p_target must be in (0, 1)")
-        if not (self.cost_miss > 0 and self.cost_fa > 0):
-            raise ValueError("costs must be positive")
+        if not (0 < self.cost_miss < np.inf and 0 < self.cost_fa < np.inf):
+            raise ValueError("costs must be positive and finite")
 
 
 class ScoreSet:

@@ -37,8 +37,8 @@ class ModelSpec:
         if not (len(self.stage_blocks) == len(self.stage_channels) == len(self.stage_strides) == 4):
             raise ValueError("stage arrays must all have length 4")
         for name in ("scale_factor", "input_mel_bins", "segment_frames", "embedding_dim"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if not self.num_speakers >= 2:
             raise ValueError("num_speakers must be >= 2")
         if self.temporal_pooling not in ("mean", "mean_std"):

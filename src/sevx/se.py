@@ -173,13 +173,6 @@ class SEUnit:
         for k, layer in enumerate(self.fc_layers):
             yield from layer.named_parameters(f"{prefix}.fc{k}")
 
-    def set_parameter_arrays(self, tensors) -> None:
-        """Swap in external parameter tensors, in named_parameters order."""
-        it = iter(tensors)
-        for layer in self.fc_layers:
-            layer.weight = next(it)
-            layer.bias = next(it)
-
 
 def se_apply(x: Tensor, unit: SEUnit) -> Tensor:
     """Re-weight each channel of x by its excitation gate. Shape-preserving."""

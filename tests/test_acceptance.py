@@ -14,7 +14,7 @@ import pytest
 
 from sevx.analysis import across_speaker_profile, capture_excitations, render_report
 from sevx.checkpoint import read_container
-from sevx.config import RunConfig
+from sevx.config import TOY_CONFIG, RunConfig
 from sevx.gradcheck import CASES, run_suite
 from sevx.metrics import DCFParams, eer_from_arrays, min_dcf_from_arrays, read_trials
 from sevx.model import (AAMHead, BasicBlock, ModelSpec, SGDOptimizer, build_model, se_census,
@@ -32,28 +32,10 @@ def announce(criterion: str, ok: bool, detail: str) -> None:
 
 # ---- toy configuration (criteria 6-8) ----------------------------------------
 
-TOY_OVERRIDES = {
-    "seed": "2024",
-    "model.scale_factor": "0.125",
-    "model.segment_frames": "64",
-    "data.num_speakers": "20",
-    "data.utts_per_speaker": "8",
-    "data.frames_per_utt": "64",
-    "data.chunk_frames": "64",
-    "data.noise_level": "0.25",
-    "optim.batch_size": "20",
-    "optim.epochs": "16",
-    "optim.lr": "0.15",
-    "se.stages": "1,2",
-    "se.reduction": "4",
-    "se.hidden_layers": "2",
-    "se.pooling": "mean_std",
-}
-
 
 def run_toy(out_dir: str, overrides: dict) -> dict:
     """One full criterion-6 run: corpus, training, scoring, metrics."""
-    config = RunConfig({**TOY_OVERRIDES, **overrides, "out": out_dir})
+    config = RunConfig({**TOY_CONFIG, **overrides, "out": out_dir})
     set_sequential(True)
     try:
         t0 = time.time()
@@ -268,6 +250,7 @@ def test_criterion_5_metrics_oracle():
 # ---- criterion 6: toy end-to-end -----------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_toy_end_to_end(toy_run_a):
     acc = toy_run_a["result"].train_accuracy
     eer = float(toy_run_a["report"]["eer_percent"]) / 100.0
@@ -301,6 +284,7 @@ def ablation_grid_configs():
     return unique
 
 
+@pytest.mark.slow
 def test_criterion_6_overfit_loss_halves_on_every_grid_config():
     spec = ModelSpec(scale_factor=0.125, num_speakers=8, segment_frames=32)
     rng = np.random.default_rng(17)
@@ -326,6 +310,7 @@ def test_criterion_6_overfit_loss_halves_on_every_grid_config():
 # ---- criterion 7: excitation analysis pipeline ---------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_analysis_pipeline(tmp_path_factory):
     # hook neutrality, bit-exact in sequential mode
     spec = ModelSpec(scale_factor=1 / 16, num_speakers=4)
@@ -372,6 +357,7 @@ def test_criterion_7_analysis_pipeline(tmp_path_factory):
 # ---- criterion 8: determinism ---------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_bit_identical_reruns(toy_run_a, toy_run_b):
     ckpt_equal = sha(toy_run_a["checkpoint"]) == sha(toy_run_b["checkpoint"])
     metrics_equal = (open(toy_run_a["metrics_path"]).read()

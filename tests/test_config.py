@@ -10,7 +10,7 @@ from sevx.se import SEConfig
 # at least one rejected value per validated key; nan for every bounded float
 INVALID_VALUES = {
     "seed": ["x", "1.5"],
-    "model.scale_factor": ["0", "-1", "nan", "x"],
+    "model.scale_factor": ["0", "-1", "nan", "inf", "x"],
     "model.embedding_dim": ["0", "-1", "0.5"],
     "model.input_mel_bins": ["0", "-1"],
     "model.segment_frames": ["0", "-1"],
@@ -34,8 +34,8 @@ INVALID_VALUES = {
     "data.noise_level": ["-0.1", "nan"],
     "data.chunk_frames": ["0"],
     "eval.p_target": ["0", "1", "1.5", "nan"],
-    "eval.c_miss": ["0", "-1", "nan"],
-    "eval.c_fa": ["0", "-1", "nan"],
+    "eval.c_miss": ["0", "-1", "nan", "inf"],
+    "eval.c_fa": ["0", "-1", "nan", "inf"],
 }
 
 

@@ -50,14 +50,11 @@ class TestMatmul:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        a = rng.uniform(-2, 2, (3, 4))
-        b = rng.uniform(-2, 2, (4, 2))
-        r = rng.normal(size=(3, 2))
+        a = t(rng.uniform(-2, 2, (3, 4)), grad=True)
+        b = t(rng.uniform(-2, 2, (4, 2)), grad=True)
+        r = t(rng.normal(size=(3, 2)))
 
-        def build(ts):
-            return (ts[0] @ ts[1] * Tensor(r, dtype=np.float64)).sum()
-
-        ok, max_abs, _ = check_gradients(build, [a, b])
+        ok, max_abs, _ = check_gradients(lambda: (a @ b * r).sum(), [a, b])
         assert ok, f"matmul gradient mismatch, max abs err {max_abs}"
 
 
@@ -188,17 +185,27 @@ class TestReductionsAndViews:
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_composite_graph_gradient_matches_fd(values, seed):
     rng = np.random.default_rng(seed)
-    x = np.asarray(values)
-    w = rng.uniform(-1, 1, size=len(values))
+    x = t(values, grad=True)
+    w = t(rng.uniform(-1, 1, size=len(values)))
 
-    def build(ts):
-        xt = ts[0]
-        wt = Tensor(w, dtype=np.float64)
-        h = (xt * wt).sigmoid() + (xt * xt) * 0.1
-        return h.sum()
+    def loss():
+        return ((x * w).sigmoid() + (x * x) * 0.1).sum()
 
-    ok, max_abs, _ = check_gradients(build, [x])
+    ok, max_abs, _ = check_gradients(loss, [x])
     assert ok, f"composite gradient mismatch {max_abs}"
+
+
+def test_gradient_check_catches_wrong_backward_rule():
+    # forward doubles x, backward passes g through unchanged: off by 1 per entry.
+    # Dyadic values and a power-of-two eps make every difference exact.
+    x = t(np.arange(6.0).reshape(2, 3) / 4, grad=True)
+
+    def loss():
+        return Tensor._from_op(2 * x.data, (x,), x._accum).sum()
+
+    ok, max_abs, _ = check_gradients(loss, [x], eps=2.0 ** -10)
+    assert ok is False
+    assert max_abs == 1
 
 
 def test_no_grad_blocks_tape():
