@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""SHA-256 of small checkpoints trained for three SGD steps, one per SE
+variant: SE off, each of the four wirings, and max pooling.
+
+A refactor that does not touch the math must leave every line unchanged.
+The hashes are bit-exact only with BLAS on one thread.
+
+Usage: OPENBLAS_NUM_THREADS=1 python scripts/toy_checkpoint_hashes.py
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from sevx.config import RunConfig
+from sevx.model import AAMHead, SGDOptimizer, build_model, train_step
+from sevx.pipeline import save_checkpoint
+from sevx.se import INTEGRATIONS
+from sevx.tensor import Tensor
+
+SEED = 2024
+SPEAKERS = 20
+VARIANTS = ([("off", {"se.stages": ""})]
+            + [(w, {"se.stages": "1,2,3,4", "se.integration": w}) for w in INTEGRATIONS]
+            + [("max", {"se.stages": "1,2,3,4", "se.pooling": "max"})])
+
+
+def checkpoint_sha256(overrides: dict[str, str], path: str) -> str:
+    cfg = RunConfig({"seed": str(SEED), "model.scale_factor": "0.125",
+                     "model.segment_frames": "64", "data.num_speakers": str(SPEAKERS),
+                     **overrides})
+    model = build_model(cfg.model_spec(), cfg.se_config(), seed=SEED)
+    head = AAMHead(SPEAKERS, 256, seed=SEED)
+    opt = SGDOptimizer(list(model.named_parameters()) + list(head.named_parameters()))
+    rng = np.random.default_rng(SEED)
+    for _ in range(3):
+        x = rng.normal(size=(8, 1, 60, 64)).astype(np.float32)
+        y = rng.integers(0, SPEAKERS, 8)
+        train_step(model, head, Tensor(x), y, opt)
+    save_checkpoint(path, model, head, cfg)
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, overrides in VARIANTS:
+            digest = checkpoint_sha256(overrides, os.path.join(tmp, f"{label}.sevx"))
+            print(f"{label} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -224,8 +224,10 @@ def main(argv=None) -> int:
     was_sequential = tensor_mod.is_sequential()
     try:
         args = parser.parse_args(argv)
-        if args.sequential:
-            tensor_mod.set_sequential(True)
+        if args.sequential and not tensor_mod.set_sequential(True):
+            print("warning: --sequential cannot pin BLAS without threadpoolctl; "
+                  "set OPENBLAS_NUM_THREADS=1 before starting for bit-exact reruns",
+                  file=sys.stderr)
         if args.fn is cmd_gradcheck:
             return cmd_gradcheck(args)
         config = load_run_config(args)
@@ -243,6 +245,9 @@ def main(argv=None) -> int:
     except ContainerError as exc:
         print(f"corrupt artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

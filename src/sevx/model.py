@@ -318,7 +318,7 @@ def _sin_from_cos(c: Tensor) -> Tensor:
     def backward(g):
         safe = data > 1e-6
         gc = np.where(safe, -c.data / np.where(safe, data, 1.0), 0.0)
-        c._accum(g * gc)
+        return (g * gc,)
 
     return Tensor._from_op(data, (c,), backward)
 

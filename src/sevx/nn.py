@@ -133,18 +133,14 @@ class Conv2d:
 
         parents = (x, weight) + ((bias,) if bias is not None else ())
         xshape = x.shape
-        needs_cols = weight.requires_grad
-        saved_cols = cols if needs_cols else None
+        saved_cols = cols if weight.requires_grad else None
 
         def backward(g):
             gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(self.out_channels, b * fo * to)
-            if bias is not None and bias.requires_grad:
-                bias._accum_new(g.sum(axis=(0, 2, 3)))
-            if weight.requires_grad:
-                weight._accum_new((gmat @ saved_cols.T).reshape(weight.shape))
-            if x.requires_grad:
-                dcols = wmat.T @ gmat
-                x._accum_new(_col2im(dcols, xshape, kh, kw, sf, st, pf, pt, fo, to))
+            dx = (_col2im(wmat.T @ gmat, xshape, kh, kw, sf, st, pf, pt, fo, to)
+                  if x.requires_grad else None)
+            dw = (gmat @ saved_cols.T).reshape(weight.shape) if saved_cols is not None else None
+            return (dx, dw) + ((g.sum(axis=(0, 2, 3)),) if bias is not None else ())
 
         return Tensor._from_op(out, parents, backward)
 
@@ -207,13 +203,8 @@ class BatchNorm2d:
         def backward(g):
             dbeta = g.sum(axis=axes, keepdims=True)
             dgamma = (g * xhat).sum(axis=axes, keepdims=True)
-            if beta.requires_grad:
-                beta._accum_new(dbeta.reshape(c))
-            if gamma.requires_grad:
-                gamma._accum_new(dgamma.reshape(c))
-            if x.requires_grad:
-                coef = gamma.data.reshape(1, c, 1, 1) * inv_std
-                x._accum_new(coef * (g - (dbeta + xhat * dgamma) / n))
+            coef = gamma.data.reshape(1, c, 1, 1) * inv_std
+            return (coef * (g - (dbeta + xhat * dgamma) / n), dgamma.reshape(c), dbeta.reshape(c))
 
         return Tensor._from_op(out, (x, gamma, beta), backward)
 

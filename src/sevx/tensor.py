@@ -5,10 +5,16 @@ finite-difference oracles get a trustworthy reference path. Storage is
 row-major throughout, and feature maps use the axis order
 (batch, channels, freq, time).
 
-The tape is implicit: each op records its parents and a backward closure on
-the output tensor, and ``backward`` replays the closures in reverse
-topological order. Gradients accumulate with ``+=``; call ``zero_grad`` (or
-drop the graph) between steps.
+The tape is implicit: each op records its parents and a backward rule on
+the output tensor, and ``backward`` replays the rules in reverse topological
+order. A rule is a pure function of the output gradient: it returns one
+gradient per parent, in the parent's dtype, or ``None`` for a parent it
+skips. ``backward`` alone stores them. It sums a broadcast contribution down
+to its parent's shape and accumulates out of place, so a gradient array is
+never written after it is stored. A leaf's ``.grad`` may therefore be a
+shared, read-only view (of another leaf's gradient, say) that is only ever
+read. Leaf gradients accumulate across ``backward`` calls; call
+``zero_grad`` (or drop the graph) between steps.
 """
 
 from __future__ import annotations
@@ -45,12 +51,15 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def set_sequential(flag: bool) -> None:
+def set_sequential(flag: bool) -> bool:
     """Pin execution to one thread for bit-exact reproducibility.
 
     All kernels in this package are single numpy calls; the only source of
     run-to-run nondeterminism would be a threaded BLAS changing its reduction
-    order, so sequential mode caps the BLAS thread pool at one.
+    order, so sequential mode caps the BLAS thread pool at one through
+    ``threadpoolctl``. Without ``threadpoolctl`` BLAS is left as it is, and
+    bit-exact reruns need ``OPENBLAS_NUM_THREADS=1`` set before numpy starts.
+    Returns whether the BLAS thread pool is now capped.
     """
     global _SEQUENTIAL, _BLAS_LIMIT
     if flag and not _SEQUENTIAL:
@@ -65,6 +74,7 @@ def set_sequential(flag: bool) -> None:
             _BLAS_LIMIT.unregister()
             _BLAS_LIMIT = None
     _SEQUENTIAL = flag
+    return _BLAS_LIMIT is not None
 
 
 def is_sequential() -> bool:
@@ -76,14 +86,6 @@ def _check_broadcast(sa: tuple, sb: tuple, op: str) -> None:
     for da, db in zip(reversed(sa), reversed(sb)):
         if da != db and da != 1 and db != 1:
             raise ShapeError(f"{op}: shapes {sa} and {sb} are not broadcastable")
-
-
-def _accum_reduced(t: "Tensor", g: np.ndarray, src: np.ndarray) -> None:
-    # _unbroadcast may hand back ``src`` itself; only fresh arrays may be owned
-    if g is src:
-        t._accum(g)
-    else:
-        t._accum_new(g)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -150,6 +152,13 @@ class Tensor:
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
+        """Output of an op over ``parents``, recorded on the tape if any parent is.
+
+        ``backward(g)`` maps the output gradient to a sequence with one entry
+        per parent: that parent's gradient in its dtype, in the output's
+        broadcast shape or the parent's own, or ``None`` to skip it. It must
+        not write into ``g`` or into any array it returns.
+        """
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
@@ -189,19 +198,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accum(self, g: np.ndarray) -> None:
-        """Accumulate a gradient the caller may still hold a reference to."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    def _accum_new(self, g: np.ndarray) -> None:
-        """Accumulate a freshly-allocated gradient, taking ownership of it."""
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
-
     def backward(self) -> None:
         """Populate grad on every requires_grad tensor reachable from self.
 
@@ -218,8 +214,14 @@ class Tensor:
                 node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            for parent, g in zip(node._parents, node._backward(node.grad), strict=True):
+                if g is None or not parent.requires_grad:
+                    continue
+                if g.shape != parent.shape:
+                    g = _unbroadcast(g, parent.shape)
+                parent.grad = g if parent.grad is None else parent.grad + g
 
     # ---- elementwise arithmetic ----------------------------------------
 
@@ -235,32 +237,14 @@ class Tensor:
     def __add__(self, other):
         other = self._coerce(other)
         _check_broadcast(self.shape, other.shape, "add")
-        data = self.data + other.data
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                _accum_reduced(a, _unbroadcast(g, a.shape), g)
-            if b.requires_grad:
-                _accum_reduced(b, _unbroadcast(g, b.shape), g)
-
-        return Tensor._from_op(data, (a, b), backward)
+        return Tensor._from_op(self.data + other.data, (self, other), lambda g: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
         _check_broadcast(self.shape, other.shape, "sub")
-        data = self.data - other.data
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                _accum_reduced(a, _unbroadcast(g, a.shape), g)
-            if b.requires_grad:
-                b._accum_new(_unbroadcast(-g, b.shape))
-
-        return Tensor._from_op(data, (a, b), backward)
+        return Tensor._from_op(self.data - other.data, (self, other), lambda g: (g, -g))
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -268,16 +252,8 @@ class Tensor:
     def __mul__(self, other):
         other = self._coerce(other)
         _check_broadcast(self.shape, other.shape, "mul")
-        data = self.data * other.data
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum_new(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accum_new(_unbroadcast(g * a.data, b.shape))
-
-        return Tensor._from_op(data, (a, b), backward)
+        a, b = self.data, other.data
+        return Tensor._from_op(a * b, (self, other), lambda g: (g * b, g * a))
 
     __rmul__ = __mul__
 
@@ -286,40 +262,22 @@ class Tensor:
         _check_broadcast(self.shape, other.shape, "div")
         if np.any(other.data == 0):
             raise NumericError("div: zero denominator")
-        data = self.data / other.data
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum_new(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accum_new(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return Tensor._from_op(data, (a, b), backward)
+        a, b = self.data, other.data
+        return Tensor._from_op(a / b, (self, other), lambda g: (g / b, -g * a / (b * b)))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
-        a = self
-
-        def backward(g):
-            a._accum_new(-g)
-
-        return Tensor._from_op(-self.data, (a,), backward)
+        return Tensor._from_op(-self.data, (self,), lambda g: (-g,))
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise ShapeError("pow supports scalar exponents only")
         if not float(p).is_integer() and np.any(self.data < 0):
             raise NumericError("pow: fractional exponent of negative base")
-        data = self.data ** p
-        a = self
-
-        def backward(g):
-            a._accum_new(g * p * self.data ** (p - 1))
-
-        return Tensor._from_op(data, (a,), backward)
+        a = self.data
+        return Tensor._from_op(a ** p, (self,), lambda g: (g * p * a ** (p - 1),))
 
     # ---- linear algebra --------------------------------------------------
 
@@ -334,16 +292,8 @@ class Tensor:
             raise ShapeError(
                 f"matmul inner dimensions disagree: {self.shape} vs {other.shape}"
             )
-        data = self.data @ other.data
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum_new(g @ b.data.T)
-            if b.requires_grad:
-                b._accum_new(a.data.T @ g)
-
-        return Tensor._from_op(data, (a, b), backward)
+        a, b = self.data, other.data
+        return Tensor._from_op(a @ b, (self, other), lambda g: (g @ b.T, a.T @ g))
 
     def transpose(self, *axes):
         if not axes:
@@ -351,111 +301,72 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-        a = self
-
-        def backward(g):
-            a._accum(g.transpose(inv))
-
-        return Tensor._from_op(np.ascontiguousarray(self.data.transpose(axes)), (a,), backward)
+        return Tensor._from_op(np.ascontiguousarray(self.data.transpose(axes)), (self,),
+                               lambda g: (g.transpose(inv),))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
         old = self.shape
-
-        def backward(g):
-            a._accum(g.reshape(old))
-
-        return Tensor._from_op(self.data.reshape(shape), (a,), backward)
+        return Tensor._from_op(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
     # ---- nonlinearities ---------------------------------------------------
 
     def relu(self):
-        data = np.maximum(self.data, 0)
-        a = self
-
-        def backward(g):
-            a._accum_new(g * (a.data > 0))
-
-        return Tensor._from_op(data, (a,), backward)
+        a = self.data
+        return Tensor._from_op(np.maximum(a, 0), (self,), lambda g: (g * (a > 0),))
 
     def sigmoid(self):
         # computed via exp(-|x|) so neither branch can overflow
         z = np.exp(-np.abs(self.data))
         data = np.where(self.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         data = data.astype(self.data.dtype, copy=False)
-        a = self
-
-        def backward(g):
-            a._accum_new(g * data * (1.0 - data))
-
-        return Tensor._from_op(data, (a,), backward)
+        return Tensor._from_op(data, (self,), lambda g: (g * data * (1.0 - data),))
 
     def sqrt(self):
         if np.any(self.data < 0):
             raise NumericError("sqrt: negative input")
         data = np.sqrt(self.data)
-        a = self
-
-        def backward(g):
-            # derivative is unbounded at 0; callers add an epsilon first
-            a._accum_new(g * 0.5 / data)
-
-        return Tensor._from_op(data, (a,), backward)
+        # derivative is unbounded at 0; callers add an epsilon first
+        return Tensor._from_op(data, (self,), lambda g: (g * 0.5 / data,))
 
     def log_softmax(self, axis: int = -1):
         m = np.max(self.data, axis=axis, keepdims=True)
         shifted = self.data - m
         lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
         data = shifted - lse
-        a = self
-
-        def backward(g):
-            a._accum_new(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
-
-        return Tensor._from_op(data, (a,), backward)
+        return Tensor._from_op(
+            data, (self,), lambda g: (g - np.exp(data) * g.sum(axis=axis, keepdims=True),))
 
     # ---- reductions --------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
         axes = _normalize_axes(axis, self.ndim)
-        data = self.data.sum(axis=axes, keepdims=keepdims)
-        a = self
         shape = self.shape
-
-        def backward(g):
-            a._accum(_expand_reduced(g, shape, axes, keepdims))
-
-        return Tensor._from_op(data, (a,), backward)
+        return Tensor._from_op(self.data.sum(axis=axes, keepdims=keepdims), (self,),
+                               lambda g: (_expand_reduced(g, shape, axes, keepdims),))
 
     def mean(self, axis=None, keepdims: bool = False):
         axes = _normalize_axes(axis, self.ndim)
         count = int(np.prod([self.shape[ax] for ax in axes])) if axes else 1
-        data = self.data.mean(axis=axes, keepdims=keepdims)
-        a = self
         shape = self.shape
-
-        def backward(g):
-            a._accum_new(_expand_reduced(g, shape, axes, keepdims) / count)
-
-        return Tensor._from_op(data, (a,), backward)
+        return Tensor._from_op(self.data.mean(axis=axes, keepdims=keepdims), (self,),
+                               lambda g: (_expand_reduced(g, shape, axes, keepdims) / count,))
 
     def max(self, axis=None, keepdims: bool = False):
         axes = _normalize_axes(axis, self.ndim)
         data = self.data.max(axis=axes, keepdims=keepdims)
-        a = self
-        shape = self.shape
+        a = self.data
 
         def backward(g):
-            full = _expand_reduced(data if keepdims else np.expand_dims(data, axes), shape, axes, True)
-            mask = (a.data == full)
-            counts = mask.sum(axis=axes, keepdims=True)
-            gexp = _expand_reduced(g, shape, axes, keepdims)
+            full = _expand_reduced(data if keepdims else np.expand_dims(data, axes), a.shape, axes, True)
+            mask = (a == full)
+            counts = mask.sum(axis=axes, keepdims=True).astype(g.dtype)
+            gexp = _expand_reduced(g, a.shape, axes, keepdims)
             # ties share the gradient equally (deterministic subgradient)
-            a._accum_new(mask * (gexp / counts))
+            return (mask * (gexp / counts),)
 
-        return Tensor._from_op(data, (a,), backward)
+        return Tensor._from_op(data, (self,), backward)
 
 
 def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -465,16 +376,5 @@ def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("cat: empty tensor list")
     axis = axis % ts[0].ndim
     data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-
-    def backward(g):
-        offset = 0
-        for t, s in zip(ts, sizes):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offset, offset + s)
-                t._accum(g[tuple(idx)])
-            offset += s
-
-    return Tensor._from_op(data, ts, backward)
-
+    bounds = np.cumsum([t.shape[axis] for t in ts])[:-1]
+    return Tensor._from_op(data, ts, lambda g: np.split(g, bounds, axis=axis))

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,22 @@ class TestExitCodes:
     def test_train_without_corpus_is_missing_artifact(self, tmp_path):
         cfg = write_cfg(tmp_path, f"out = {tmp_path}/empty\n")
         assert main(["train", "--config", cfg]) == 3
+
+    def test_out_of_memory_is_reported_not_raised(self, micro_run, monkeypatch, capsys):
+        def fake_training(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.0 GiB for an array")
+
+        monkeypatch.setattr("sevx.cli.run_training", fake_training)
+        cfg, _ = micro_run
+        assert main(["train", "--config", cfg]) == 1
+        assert "error: out of memory: Unable to allocate 11.0 GiB" in capsys.readouterr().err
+
+    def test_sequential_without_threadpoolctl_warns(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+        assert main(["--sequential", "gradcheck", "--seeds", "0"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "OPENBLAS_NUM_THREADS=1" in err
 
     def test_missing_config_file_is_missing_artifact(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 3

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sevx.model import BasicBlock
-from sevx.se import SEConfig, SEUnit, record_excitations, se_apply, squeeze
+from sevx.nn import temporal_stats_pool
+from sevx.se import POOLINGS, SEConfig, SEUnit, record_excitations, se_apply, squeeze
 from sevx.tensor import ShapeError, Tensor
 
 
@@ -50,6 +51,17 @@ class TestSqueeze:
     def test_empty_spatial_extent_rejected(self):
         with pytest.raises(ShapeError):
             squeeze(Tensor(np.zeros((1, 2, 0, 3), dtype=np.float32)), "mean")
+
+
+@pytest.mark.parametrize("pool,mode", [(squeeze, p) for p in POOLINGS]
+                         + [(temporal_stats_pool, m) for m in ("mean", "mean_std")],
+                         ids=[f"squeeze-{p}" for p in POOLINGS]
+                         + ["temporal-mean", "temporal-mean_std"])
+def test_float32_input_gets_float32_gradient(pool, mode):
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4, 5)).astype(np.float32),
+               requires_grad=True)
+    pool(x, mode).sum().backward()
+    assert x.grad.dtype == np.float32
 
 
 class TestExcite:

@@ -122,6 +122,22 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(x.grad, 2 * first)
 
+    def test_shared_gradient_array_is_never_written(self):
+        # add hands the same array to both parents; a later backward that
+        # reaches only ``a`` must not change ``b.grad`` through it
+        a = t([1.0, 2.0], grad=True)
+        b = t([3.0, 4.0], grad=True)
+        (a + b).sum().backward()
+        (a * 3.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    def test_rule_with_wrong_gradient_count_rejected(self):
+        x = t([1.0, 2.0], grad=True)
+        out = Tensor._from_op(2 * x.data, (x,), lambda g: (2 * g, g))
+        with pytest.raises(ValueError):
+            out.sum().backward()
+
 
 class TestBroadcastBackward:
     @pytest.mark.parametrize("sa,sb", [
@@ -201,7 +217,7 @@ def test_gradient_check_catches_wrong_backward_rule():
     x = t(np.arange(6.0).reshape(2, 3) / 4, grad=True)
 
     def loss():
-        return Tensor._from_op(2 * x.data, (x,), x._accum).sum()
+        return Tensor._from_op(2 * x.data, (x,), lambda g: (g,)).sum()
 
     ok, max_abs, _ = check_gradients(loss, [x], eps=2.0 ** -10)
     assert ok is False
