@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """SHA-256 of small checkpoints trained for three SGD steps, one per SE
-variant: SE off, each of the four wirings, and max pooling.
+variant: SE off, each of the four wirings, and max pooling. Each
+``<label>`` line is followed by an ``eval-<label>`` line: the SHA-256 of the
+float32 ``extract_embedding`` outputs of the trained model on a few fixed
+inputs.
 
 A refactor that does not touch the math must leave every line unchanged.
 The hashes are bit-exact only with BLAS on one thread.
@@ -16,19 +19,21 @@ import tempfile
 import numpy as np
 
 from sevx.config import RunConfig
-from sevx.model import AAMHead, SGDOptimizer, build_model, train_step
+from sevx.model import AAMHead, SGDOptimizer, build_model, extract_embedding, train_step
 from sevx.pipeline import save_checkpoint
 from sevx.se import INTEGRATIONS
 from sevx.tensor import Tensor
 
 SEED = 2024
 SPEAKERS = 20
+EVAL_INPUTS = 3
 VARIANTS = ([("off", {"se.stages": ""})]
             + [(w, {"se.stages": "1,2,3,4", "se.integration": w}) for w in INTEGRATIONS]
             + [("max", {"se.stages": "1,2,3,4", "se.pooling": "max"})])
 
 
-def checkpoint_sha256(overrides: dict[str, str], path: str) -> str:
+def trained_sha256(overrides: dict[str, str], path: str) -> tuple[str, str]:
+    """(checkpoint SHA-256, eval-embedding SHA-256) of one variant."""
     cfg = RunConfig({"seed": str(SEED), "model.scale_factor": "0.125",
                      "model.segment_frames": "64", "data.num_speakers": str(SPEAKERS),
                      **overrides})
@@ -42,14 +47,20 @@ def checkpoint_sha256(overrides: dict[str, str], path: str) -> str:
         train_step(model, head, Tensor(x), y, opt)
     save_checkpoint(path, model, head, cfg)
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        checkpoint = hashlib.sha256(f.read()).hexdigest()
+    eval_rng = np.random.default_rng(SEED + 1)
+    embeddings = hashlib.sha256()
+    for _ in range(EVAL_INPUTS):
+        x = eval_rng.normal(size=(1, 1, 60, 64)).astype(np.float32)
+        embeddings.update(extract_embedding(model, Tensor(x)).astype("<f4").tobytes())
+    return checkpoint, embeddings.hexdigest()
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for label, overrides in VARIANTS:
-            digest = checkpoint_sha256(overrides, os.path.join(tmp, f"{label}.sevx"))
-            print(f"{label} {digest}", flush=True)
+            checkpoint, embeddings = trained_sha256(overrides, os.path.join(tmp, f"{label}.sevx"))
+            print(f"{label} {checkpoint}\neval-{label} {embeddings}", flush=True)
     return 0
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se as se_mod
-from .model import SpeakerEmbedder
-from .tensor import Tensor, no_grad
+from .model import SpeakerEmbedder, extract_embedding
+from .tensor import Tensor
 
 
 @dataclass
@@ -59,25 +59,25 @@ def _probed_blocks(model: SpeakerEmbedder, stages, all_blocks: bool):
 
 def capture_excitations(model: SpeakerEmbedder, utterances, stages=None,
                         all_blocks: bool = False) -> list[ExcitationRecord]:
-    """One record per (utterance, probed block), in eval mode.
+    """One record per (utterance, probed block), from the eval forward of
+    ``extract_embedding``.
 
     ``utterances`` yields (utterance_id, speaker_id, features) with features
-    shaped (mel, T). By default only the last SE block of each SE-carrying
-    stage is probed.
+    shaped (mel, T), T >= 8. By default only the last SE block of each
+    SE-carrying stage is probed.
     """
     probes = _probed_blocks(model, stages, all_blocks)
     records: list[ExcitationRecord] = []
     for utt_id, spk_id, feats in utterances:
-        x = Tensor(np.asarray(feats, dtype=np.float32)[None, None])
         sink: list = []
-        with no_grad(), se_mod.record_excitations(sink):
-            model.forward_embedding(x, train=False)
+        with se_mod.record_excitations(sink):
+            extract_embedding(model, Tensor(np.asarray(feats, dtype=np.float32)[None, None]))
         for name, gates in sink:
             if name in probes:
                 stage, bi = probes[name]
                 records.append(ExcitationRecord(
                     stage=stage, block_index=bi, utterance_id=utt_id,
-                    speaker_id=spk_id, channel_weights=gates.reshape(-1).copy()))
+                    speaker_id=spk_id, channel_weights=gates.reshape(-1)))
     return records
 
 
@@ -113,29 +113,6 @@ def across_speaker_profile(records) -> tuple[dict[int, dict[str, SpeakerProfile]
         profiles[stage] = per_spk
         dispersion[stage] = float(np.stack(means).std(axis=0).mean())
     return profiles, dispersion
-
-
-def within_speaker_profile(records, speaker_id: str) -> dict[int, SpeakerProfile]:
-    """Channel-wise mean and population std across one speaker's segments."""
-    by_stage: dict[int, list[np.ndarray]] = {}
-    for r in records:
-        if r.speaker_id == speaker_id:
-            by_stage.setdefault(r.stage, []).append(r.channel_weights)
-    if not by_stage:
-        raise ValueError(f"no records for speaker {speaker_id}")
-    out = {}
-    for stage, cell in sorted(by_stage.items()):
-        if len(cell) < 2:
-            raise ValueError(
-                f"within-speaker profile needs >= 2 segments, speaker {speaker_id} "
-                f"has {len(cell)} at stage {stage}")
-        stack = np.stack(cell)
-        out[stage] = SpeakerProfile(
-            speaker_id=speaker_id, stage=stage,
-            mean_activation=stack.mean(axis=0),
-            std_activation=stack.std(axis=0),
-            num_segments=len(cell))
-    return out
 
 
 def render_report(profiles: dict[int, dict[str, SpeakerProfile]],

@@ -12,7 +12,7 @@ from typing import Any, Callable
 
 from .features import SynthSpec
 from .metrics import DCFParams
-from .model import ModelSpec
+from .model import MIN_FRAMES, ModelSpec
 from .se import SEConfig
 
 
@@ -60,7 +60,7 @@ SCHEMA: dict[str, _Field] = {
     "data.frames_per_utt": _Field(int, SynthSpec.frames_per_utt),
     "data.signature_rank": _Field(int, SynthSpec.speaker_signature_rank),
     "data.noise_level": _Field(float, SynthSpec.noise_level),
-    "data.chunk_frames": _Field(int, 400, _positive),
+    "data.chunk_frames": _Field(int, 400, lambda x: x >= MIN_FRAMES),
     "eval.p_target": _Field(float, DCFParams.p_target),
     "eval.c_miss": _Field(float, DCFParams.cost_miss),
     "eval.c_fa": _Field(float, DCFParams.cost_fa),

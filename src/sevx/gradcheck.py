@@ -157,6 +157,14 @@ def _aam_case(seed: int):
     return (lambda: aam_loss(emb, labels, head)), [emb] + [p for _, p in head.named_parameters()]
 
 
+def _bn_with_running_stats(rng: np.random.Generator) -> BatchNorm2d:
+    bn = BatchNorm2d(3, dtype=np.float64)
+    bn.running_mean = rng.uniform(-1.0, 1.0, 3)
+    bn.running_var = rng.uniform(0.5, 2.0, 3)
+    bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
+    return bn
+
+
 def _se_unit(pooling: str):
     cfg = SEConfig(pooling=pooling, reduction_factor=2, hidden_layers=2)
     return lambda rng: SEUnit(channels=4, config=cfg, rng=rng, dtype=np.float64)
@@ -181,6 +189,9 @@ CASES: dict[str, Case] = {
                              Conv2d.forward, (2, 2, 6, 7)),
     "batchnorm": _layer(lambda rng: BatchNorm2d(3, dtype=np.float64),
                         partial(BatchNorm2d.forward, train=True), (2, 3, 4, 4)),
+    # eval mode (second argument False): normalized by the running statistics
+    "batchnorm_eval": _layer(_bn_with_running_stats, lambda bn, x: bn.forward(x, False),
+                             (2, 3, 4, 4)),
     **{f"squeeze_{p}": _op(partial(squeeze, pooling=p), (2, 3, 2, 4)) for p in POOLINGS},
     "excite": _layer(_se_unit("mean"), SEUnit.excite, (3, 4)),
     "se_apply": _layer(_se_unit("mean_std"), lambda unit, x: se_apply(x, unit), (2, 4, 2, 3)),

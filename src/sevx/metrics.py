@@ -44,10 +44,14 @@ class DCFParams:
 
 
 class ScoreSet:
-    """Trials with attached scores, split into target / nontarget arrays."""
+    """Trials with attached scores, split into target / nontarget arrays.
+    A non-finite score is rejected: it would sort past every threshold."""
 
     def __init__(self, trials_scores):
         self.items: list[tuple[Trial, float]] = list(trials_scores)
+        for t, score in self.items:
+            if not np.isfinite(score):
+                raise ValueError(f"non-finite score {score} for trial {t.enroll_id} {t.test_id}")
         tar = [s for t, s in self.items if t.label == TARGET]
         non = [s for t, s in self.items if t.label == NONTARGET]
         self.target_scores = np.asarray(tar, dtype=np.float64)

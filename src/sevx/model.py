@@ -13,6 +13,9 @@ from .nn import BatchNorm2d, Conv2d, Linear, rng_for, temporal_stats_pool
 from .se import SEConfig, SEUnit, se_apply
 from .tensor import NumericError, ShapeError, Tensor, no_grad
 
+# three stride-2 stages shrink time 8x; eval rejects shorter segments
+MIN_FRAMES = 8
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -427,12 +430,13 @@ def train_step(model: SpeakerEmbedder, head: AAMHead, batch: Tensor, labels,
 
 
 def extract_embedding(model: SpeakerEmbedder, features: Tensor) -> np.ndarray:
-    """Embedding for one utterance (1, 1, mel, T), eval mode, grad-free."""
+    """Embedding for one utterance (1, 1, mel, T), eval mode, grad-free: the one
+    eval forward behind scoring, training accuracy and excitation capture."""
     if features.ndim != 4 or features.shape[0] != 1:
         raise ShapeError(f"extract_embedding expects (1, 1, mel, T), got {features.shape}")
     t = features.shape[3]
-    if t < 8:
-        raise ShapeError(f"segment too short: T={t} < 8 frames (three stride-2 reductions)")
+    if t < MIN_FRAMES:
+        raise ShapeError(f"segment too short: T={t} < {MIN_FRAMES} frames")
     with no_grad():
         emb = model.forward_embedding(features, train=False)
     return emb.data.reshape(-1).copy()

@@ -151,11 +151,13 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    """Per-channel batch normalization over (batch, freq, time).
+    """Per-channel batch normalization over (batch, freq, time), one fused
+    primitive for both modes: ``gamma * xhat + beta``.
 
     Train mode normalizes with batch statistics (population variance) and
-    updates the running estimates; eval mode uses the running estimates,
-    which start at mean 0 / var 1 so eval works before any training step.
+    updates the running estimates; eval mode normalizes with the running
+    estimates, ``xhat = (x - running_mean) / sqrt(running_var + eps)``, which
+    start at mean 0 / var 1 so eval works before any training step.
     """
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
@@ -174,37 +176,33 @@ class BatchNorm2d:
             raise ShapeError(
                 f"batchnorm expects (b, {self.channels}, f, t), got {x.shape}")
         c = self.channels
-        if train:
-            return self._forward_train(x)
-        gamma = self.gamma.reshape(1, c, 1, 1)
-        beta = self.beta.reshape(1, c, 1, 1)
-        rm = Tensor(self.running_mean.reshape(1, c, 1, 1), dtype=x.dtype)
-        rstd = Tensor(np.sqrt(self.running_var.reshape(1, c, 1, 1) + self.eps), dtype=x.dtype)
-        return gamma * ((x - rm) / rstd) + beta
-
-    def _forward_train(self, x: Tensor) -> Tensor:
-        # fused primitive: one normalized map kept for the closed-form backward
-        c = self.channels
         gamma, beta = self.gamma, self.beta
         axes = (0, 2, 3)
-        n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        mu = x.data.mean(axis=axes, keepdims=True)
-        var = np.square(x.data - mu).mean(axis=axes, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x.data - mu) * inv_std
-        out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
-
-        m = self.momentum
-        self.running_mean = ((1 - m) * self.running_mean
-                             + m * mu.reshape(c).astype(self.running_mean.dtype))
-        self.running_var = ((1 - m) * self.running_var
-                            + m * var.reshape(c).astype(self.running_var.dtype))
+        if train:
+            n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+            mu = x.data.mean(axis=axes, keepdims=True)
+            var = np.square(x.data - mu).mean(axis=axes, keepdims=True)
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            xhat = (x.data - mu) * inv_std
+            m = self.momentum
+            self.running_mean = ((1 - m) * self.running_mean
+                                 + m * mu.reshape(c).astype(self.running_mean.dtype))
+            self.running_var = ((1 - m) * self.running_var
+                                + m * var.reshape(c).astype(self.running_var.dtype))
+        else:
+            mu = self.running_mean.reshape(1, c, 1, 1).astype(x.dtype)
+            rstd = np.sqrt(self.running_var.reshape(1, c, 1, 1) + self.eps).astype(x.dtype)
+            xhat = (x.data - mu) / rstd
+        gamma_c = gamma.data.reshape(1, c, 1, 1)
+        out = gamma_c * xhat + beta.data.reshape(1, c, 1, 1)
 
         def backward(g):
             dbeta = g.sum(axis=axes, keepdims=True)
             dgamma = (g * xhat).sum(axis=axes, keepdims=True)
-            coef = gamma.data.reshape(1, c, 1, 1) * inv_std
-            return (coef * (g - (dbeta + xhat * dgamma) / n), dgamma.reshape(c), dbeta.reshape(c))
+            # eval statistics are constants, so x reaches the output only through xhat
+            dx = (gamma_c * inv_std * (g - (dbeta + xhat * dgamma) / n) if train
+                  else g * gamma_c / rstd)
+            return (dx, dgamma.reshape(c), dbeta.reshape(c))
 
         return Tensor._from_op(out, (x, gamma, beta), backward)
 

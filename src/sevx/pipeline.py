@@ -20,7 +20,7 @@ from .model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, build_mod
                     cosine_logits, extract_embedding, se_census, train_step)
 from .nn import rng_for
 from .se import SEConfig
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -170,14 +170,13 @@ def lr_at(step: int, total_steps: int, base_lr: float, milestones, factor: float
 
 
 def train_accuracy(model: SpeakerEmbedder, head: AAMHead, x: np.ndarray,
-                   y: np.ndarray, batch_size: int = 64) -> float:
-    hits = 0
-    with no_grad():
-        for i in range(0, len(x), batch_size):
-            emb = model.forward_embedding(Tensor(x[i:i + batch_size]), train=False)
-            logits = cosine_logits(emb, head)
-            hits += int((logits.argmax(axis=1) == y[i:i + batch_size]).sum())
-    return hits / len(x)
+                   y: np.ndarray) -> float:
+    """Fraction of chunks ``x`` (n, 1, mel, T) whose closest class row, by
+    cosine, is their label ``y``. Each chunk is embedded on its own by
+    ``extract_embedding``, the eval forward that scoring uses."""
+    emb = np.stack([extract_embedding(model, Tensor(c[None])) for c in x])
+    logits = cosine_logits(Tensor(emb), head)
+    return int((logits.argmax(axis=1) == y).sum()) / len(x)
 
 
 def run_training(config: RunConfig, utts, run_dir: str,

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from sevx.analysis import (ExcitationRecord, across_speaker_profile, capture_excitations,
-                           profiles_to_tensors, profiles_to_tsv, render_report,
-                           within_speaker_profile)
+                           profiles_to_tensors, profiles_to_tsv, render_report)
 from sevx.model import ModelSpec, build_model
 from sevx.se import SEConfig
-from sevx.tensor import Tensor
+from sevx.tensor import ShapeError, Tensor
 
 
 SPEC = ModelSpec(scale_factor=1 / 16, num_speakers=4)
@@ -64,6 +63,11 @@ class TestCapture:
         assert records[0].block_index == SPEC.stage_blocks[0] - 1
         all_records = capture_excitations(model, [utt("a", "s0", 1)], all_blocks=True)
         assert len(all_records) == SPEC.stage_blocks[0]
+
+    def test_utterance_under_eight_frames_rejected(self):
+        model = small_model({1})
+        with pytest.raises(ShapeError, match="too short"):
+            capture_excitations(model, [utt("a", "s0", 1, t=7)])
 
     def test_weights_strictly_in_unit_interval(self):
         model = small_model({1, 2})
@@ -124,32 +128,34 @@ class TestAcrossSpeaker:
 
 
 class TestWithinSpeaker:
+    """Each speaker's std_activation is its spread over segments; a second
+    speaker with other weights must not leak into it."""
+
+    @staticmethod
+    def _with_other_speaker(records, stage):
+        rng = np.random.default_rng(9)
+        width = len(records[0].channel_weights)
+        return records + [rec(stage, "s1", f"v{i}", rng.uniform(0.1, 0.9, width)) for i in range(3)]
+
     def test_identical_segments_zero_std(self):
         records = [rec(1, "s0", f"u{i}", [0.3, 0.7]) for i in range(4)]
-        profile = within_speaker_profile(records, "s0")
-        np.testing.assert_array_equal(profile[1].std_activation, [0.0, 0.0])
+        profiles, _ = across_speaker_profile(self._with_other_speaker(records, 1))
+        np.testing.assert_array_equal(profiles[1]["s0"].std_activation, [0.0, 0.0])
 
     def test_two_point_population_std(self):
         w1 = np.array([0.2, 0.9])
         w2 = np.array([0.6, 0.5])
         records = [rec(3, "s0", "u0", w1), rec(3, "s0", "u1", w2)]
-        profile = within_speaker_profile(records, "s0")
-        np.testing.assert_allclose(profile[3].std_activation, np.abs(w1 - w2) / 2, atol=1e-12)
+        profiles, _ = across_speaker_profile(self._with_other_speaker(records, 3))
+        np.testing.assert_allclose(profiles[3]["s0"].std_activation, np.abs(w1 - w2) / 2,
+                                   atol=1e-12)
 
     def test_summary_scalar_is_channel_mean_of_std(self):
         rng = np.random.default_rng(2)
         records = [rec(2, "s0", f"u{i}", rng.uniform(0.1, 0.9, 5)) for i in range(6)]
-        profile = within_speaker_profile(records, "s0")
+        profiles, _ = across_speaker_profile(self._with_other_speaker(records, 2))
         stack = np.stack([r.channel_weights for r in records])
-        assert profile[2].std_activation.mean() == pytest.approx(stack.std(axis=0).mean())
-
-    def test_fewer_than_two_segments_rejected(self):
-        with pytest.raises(ValueError, match=">= 2 segments"):
-            within_speaker_profile([rec(1, "s0", "u0", [0.5])], "s0")
-
-    def test_unknown_speaker_rejected(self):
-        with pytest.raises(ValueError, match="no records"):
-            within_speaker_profile([rec(1, "s0", "u0", [0.5])], "s9")
+        assert profiles[2]["s0"].std_activation.mean() == pytest.approx(stack.std(axis=0).mean())
 
 
 class TestReporting:

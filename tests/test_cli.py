@@ -185,6 +185,19 @@ class TestMetricsCommand:
         report = capsys.readouterr().out
         assert "eer_percent\t50.000000" in report
 
+    def test_nan_score_is_rejected_not_a_zero_eer(self, tmp_path, capsys):
+        trials = str(tmp_path / "trials.txt")
+        scores = str(tmp_path / "scores.txt")
+        with open(trials, "w") as f:
+            f.write("a b target\nc d nontarget\n")
+        with open(scores, "w") as f:
+            f.write("a b nan\nc d 0.5\n")
+        cfg = write_cfg(tmp_path, f"out = {tmp_path}/m\n")
+        assert main(["metrics", "--config", cfg, "--scores", scores, "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "eer_percent" not in captured.out
+        assert "non-finite score nan for trial a b" in captured.err
+
     def test_missing_scores_is_exit_3(self, tmp_path):
         cfg = write_cfg(tmp_path, f"out = {tmp_path}/mm\n")
         assert main(["metrics", "--config", cfg]) == 3

@@ -32,7 +32,7 @@ INVALID_VALUES = {
     "data.frames_per_utt": ["0"],
     "data.signature_rank": ["0"],
     "data.noise_level": ["-0.1", "nan"],
-    "data.chunk_frames": ["0"],
+    "data.chunk_frames": ["0", "7"],
     "eval.p_target": ["0", "1", "1.5", "nan"],
     "eval.c_miss": ["0", "-1", "nan", "inf"],
     "eval.c_fa": ["0", "-1", "nan", "inf"],

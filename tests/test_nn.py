@@ -89,6 +89,22 @@ class TestBatchNorm:
         out = bn.forward(Tensor(x), train=False).data
         np.testing.assert_allclose(out, x / np.sqrt(1 + bn.eps), atol=1e-6)
 
+    def test_eval_is_affine_map_of_running_stats(self):
+        bn = BatchNorm2d(3)
+        rng = rng_of(6)
+        bn.running_mean = rng.normal(size=3).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, 3).astype(np.float32)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, 3)
+        bn.beta.data[...] = rng.normal(size=3)
+        x = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        out = bn.forward(Tensor(x), train=False).data
+        c = (1, 3, 1, 1)
+        rstd = np.sqrt(bn.running_var.reshape(c) + bn.eps)
+        expected = (bn.gamma.data.reshape(c) * ((x - bn.running_mean.reshape(c)) / rstd)
+                    + bn.beta.data.reshape(c))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, expected)
+
     def test_running_stats_track_batches(self):
         bn = BatchNorm2d(1, momentum=0.5)
         x = np.full((2, 1, 2, 2), 10.0, dtype=np.float32)
