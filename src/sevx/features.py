@@ -32,20 +32,6 @@ class NoSpeechError(ValueError):
 
 
 @dataclass
-class AudioSegment:
-    samples: np.ndarray
-    speaker_id: str = ""
-    utterance_id: str = ""
-    sample_rate: int = SAMPLE_RATE
-
-    def __post_init__(self):
-        if self.sample_rate != SAMPLE_RATE:
-            raise AudioFormatError(f"expected {SAMPLE_RATE} Hz audio, got {self.sample_rate}")
-        if len(self.samples) == 0:
-            raise ValueError("empty audio segment")
-
-
-@dataclass
 class SynthSpec:
     """Shape of the synthetic corpus that stands in for a real training set."""
 
@@ -75,21 +61,21 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
-def mel_center_frequencies(n_mels: int = N_MELS, fmin: float = MEL_FMIN,
-                           fmax: float = MEL_FMAX) -> np.ndarray:
-    pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
-    return mel_to_hz(pts)[1:-1]
+def _mel_edges_hz() -> np.ndarray:
+    """N_MELS + 2 points evenly spaced on the mel scale over [MEL_FMIN, MEL_FMAX]."""
+    return mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
 
 
-def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
-                   sample_rate: int = SAMPLE_RATE, fmin: float = MEL_FMIN,
-                   fmax: float = MEL_FMAX) -> np.ndarray:
-    """Triangular mel filters, (n_mels, n_fft//2 + 1)."""
-    mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
-    hz_pts = mel_to_hz(mel_pts)
-    bin_freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
-    fb = np.zeros((n_mels, len(bin_freqs)))
-    for i in range(n_mels):
+def mel_center_frequencies() -> np.ndarray:
+    return _mel_edges_hz()[1:-1]
+
+
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filters, (N_MELS, N_FFT//2 + 1)."""
+    hz_pts = _mel_edges_hz()
+    bin_freqs = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
+    fb = np.zeros((N_MELS, len(bin_freqs)))
+    for i in range(N_MELS):
         lo, ctr, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
         up = (bin_freqs - lo) / (ctr - lo)
         down = (hi - bin_freqs) / (hi - ctr)
@@ -97,20 +83,20 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
     return fb
 
 
-def frame_signal(samples: np.ndarray, frame_len: int = FRAME_LEN,
-                 hop: int = FRAME_HOP) -> np.ndarray:
-    """(T, frame_len) frame matrix; T = floor((n - frame_len)/hop) + 1."""
+def frame_signal(samples: np.ndarray) -> np.ndarray:
+    """(T, FRAME_LEN) frame matrix; T = floor((n - FRAME_LEN)/FRAME_HOP) + 1."""
     n = len(samples)
-    if n < frame_len:
-        raise ValueError(f"audio too short: {n} samples < one {frame_len}-sample window")
-    t = (n - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(t)[:, None]
+    if n < FRAME_LEN:
+        raise ValueError(f"audio too short: {n} samples < one {FRAME_LEN}-sample window")
+    t = (n - FRAME_LEN) // FRAME_HOP + 1
+    idx = np.arange(FRAME_LEN)[None, :] + FRAME_HOP * np.arange(t)[:, None]
     return samples[idx]
 
 
-def logmel(audio: AudioSegment) -> np.ndarray:
-    """60-band log-mel features, shape (60, T), natural log with a power floor."""
-    frames = frame_signal(np.asarray(audio.samples, dtype=np.float64))
+def logmel(samples: np.ndarray) -> np.ndarray:
+    """60-band log-mel features of 16 kHz samples, shape (60, T), natural log
+    with a power floor."""
+    frames = frame_signal(np.asarray(samples, dtype=np.float64))
     window = np.hamming(FRAME_LEN)
     spec = np.fft.rfft(frames * window, n=N_FFT, axis=1)
     power = np.abs(spec) ** 2
@@ -119,20 +105,20 @@ def logmel(audio: AudioSegment) -> np.ndarray:
     return feats.astype(np.float32)
 
 
-def energy_vad(audio: AudioSegment, threshold_db: float = VAD_THRESHOLD_DB) -> np.ndarray:
+def energy_vad(samples: np.ndarray) -> np.ndarray:
     """Boolean keep-mask over frames, thresholded relative to the utterance max.
 
     Frame energy is the C0-style log of total frame power. Frames more than
-    ``threshold_db`` below the loudest frame are dropped, as are exact-zero
+    VAD_THRESHOLD_DB below the loudest frame are dropped, as are exact-zero
     frames; the relative threshold makes the mask invariant to global gain.
     """
-    frames = frame_signal(np.asarray(audio.samples, dtype=np.float64))
+    frames = frame_signal(np.asarray(samples, dtype=np.float64))
     energy = np.sum(frames * frames, axis=1)
     if energy.max() <= 0.0:
         return np.zeros(len(energy), dtype=bool)
     with np.errstate(divide="ignore"):
         log_e = np.log(energy)
-    cut = np.log(energy.max()) - threshold_db / 10.0 * np.log(10.0)
+    cut = np.log(energy.max()) - VAD_THRESHOLD_DB / 10.0 * np.log(10.0)
     return (energy > 0.0) & (log_e >= cut)
 
 
@@ -213,8 +199,9 @@ def generate_synthetic_corpus(spec: SynthSpec) -> list[Utterance]:
 # ---- WAV ingestion ----------------------------------------------------------
 
 
-def read_wav(path: str) -> AudioSegment:
-    """Read PCM-16 mono 16 kHz little-endian WAV; anything else is rejected."""
+def read_wav(path: str) -> np.ndarray:
+    """Float32 samples in [-1, 1) of a PCM-16 mono 16 kHz little-endian WAV;
+    anything else is rejected."""
     try:
         with wave.open(path, "rb") as w:
             channels = w.getnchannels()
@@ -230,16 +217,13 @@ def read_wav(path: str) -> AudioSegment:
         raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
-    return AudioSegment(samples=samples)
+    return np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
 
 
 def featurize_wav(path: str) -> np.ndarray:
     """Log-mel features for one WAV file, with non-speech frames dropped."""
-    seg = read_wav(path)
-    feats = logmel(seg)
-    mask = energy_vad(seg)
-    return apply_vad(feats, mask)
+    samples = read_wav(path)
+    return apply_vad(logmel(samples), energy_vad(samples))
 
 
 def write_wav(path: str, samples: np.ndarray) -> None:

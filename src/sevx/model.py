@@ -431,7 +431,8 @@ def train_step(model: SpeakerEmbedder, head: AAMHead, batch: Tensor, labels,
 
 def extract_embedding(model: SpeakerEmbedder, features: Tensor) -> np.ndarray:
     """Embedding for one utterance (1, 1, mel, T), eval mode, grad-free: the one
-    eval forward behind scoring, training accuracy and excitation capture."""
+    eval forward behind scoring, training accuracy and excitation capture.
+    A non-finite embedding raises ``NumericError``."""
     if features.ndim != 4 or features.shape[0] != 1:
         raise ShapeError(f"extract_embedding expects (1, 1, mel, T), got {features.shape}")
     t = features.shape[3]
@@ -439,4 +440,6 @@ def extract_embedding(model: SpeakerEmbedder, features: Tensor) -> np.ndarray:
         raise ShapeError(f"segment too short: T={t} < {MIN_FRAMES} frames")
     with no_grad():
         emb = model.forward_embedding(features, train=False)
+    if not np.all(np.isfinite(emb.data)):
+        raise NumericError("non-finite embedding from the eval forward")
     return emb.data.reshape(-1).copy()

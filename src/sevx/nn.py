@@ -17,6 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import ShapeError, Tensor, cat
 
 STATS_EPS = 1e-8
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
@@ -37,7 +39,7 @@ def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape: tuple, dtype) 
 class Linear:
     """Dense layer y = x W^T + b."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
+    def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.in_features = in_features
@@ -45,21 +47,17 @@ class Linear:
         self.weight = Tensor(
             _uniform_fan_in(rng, in_features, (out_features, in_features), dtype),
             requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"linear expects input dim {self.in_features}, got {x.shape}")
-        out = x @ self.weight.transpose()
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, self.out_features)
-        return out
+        return x @ self.weight.transpose() + self.bias.reshape(1, self.out_features)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}.bias", self.bias
+        yield f"{prefix}.bias", self.bias
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, sf: int, st: int) -> tuple[np.ndarray, int, int]:
@@ -156,16 +154,13 @@ class BatchNorm2d:
 
     Train mode normalizes with batch statistics (population variance) and
     updates the running estimates; eval mode normalizes with the running
-    estimates, ``xhat = (x - running_mean) / sqrt(running_var + eps)``, which
-    start at mean 0 / var 1 so eval works before any training step.
+    estimates, ``xhat = (x - running_mean) / sqrt(running_var + BN_EPS)``, which
+    start at mean 0 / var 1 so eval works before any training step. The
+    running estimates move by BN_MOMENTUM per training batch.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
-        if eps <= 0:
-            raise ValueError("batchnorm epsilon must be positive")
+    def __init__(self, channels: int, dtype=np.float32):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -182,16 +177,16 @@ class BatchNorm2d:
             n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             mu = x.data.mean(axis=axes, keepdims=True)
             var = np.square(x.data - mu).mean(axis=axes, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (x.data - mu) * inv_std
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean = ((1 - m) * self.running_mean
                                  + m * mu.reshape(c).astype(self.running_mean.dtype))
             self.running_var = ((1 - m) * self.running_var
                                 + m * var.reshape(c).astype(self.running_var.dtype))
         else:
             mu = self.running_mean.reshape(1, c, 1, 1).astype(x.dtype)
-            rstd = np.sqrt(self.running_var.reshape(1, c, 1, 1) + self.eps).astype(x.dtype)
+            rstd = np.sqrt(self.running_var.reshape(1, c, 1, 1) + BN_EPS).astype(x.dtype)
             xhat = (x.data - mu) / rstd
         gamma_c = gamma.data.reshape(1, c, 1, 1)
         out = gamma_c * xhat + beta.data.reshape(1, c, 1, 1)
@@ -215,6 +210,13 @@ class BatchNorm2d:
         yield f"{prefix}.running_var", self.running_var
 
 
+def population_std(x: Tensor, mu: Tensor, axes) -> Tensor:
+    """Population std of x over ``axes``, epsilon inside the sqrt; ``mu`` is
+    the mean of x over ``axes`` with those dims kept at size 1."""
+    centered = x - mu
+    return ((centered * centered).mean(axis=axes) + STATS_EPS) ** 0.5
+
+
 def temporal_stats_pool(x: Tensor, mode: str = "mean") -> Tensor:
     """Pool a (b, c, f, t) map over time into (b, c*f) or (b, 2*c*f).
 
@@ -233,12 +235,7 @@ def temporal_stats_pool(x: Tensor, mode: str = "mean") -> Tensor:
         return flat_mu
     if mode != "mean_std":
         raise ValueError(f"unknown pooling mode {mode!r}")
-    if t >= 2:
-        centered = x - mu.reshape(b, c, f, 1)
-        var = (centered * centered).mean(axis=3)
-        std = (var + STATS_EPS) ** 0.5
-    else:
-        std = mu * 0.0
+    std = population_std(x, mu.reshape(b, c, f, 1), axes=3) if t >= 2 else mu * 0.0
     return cat([flat_mu, std.reshape(b, c * f)], axis=1)
 
 

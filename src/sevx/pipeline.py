@@ -191,8 +191,8 @@ def run_training(config: RunConfig, utts, run_dir: str,
     opt = SGDOptimizer(named, lr=config["optim.lr"], momentum=config["optim.momentum"],
                        weight_decay=config["optim.weight_decay"])
 
-    params_total = sum(p.size for _, p in named)
-    params_se = sum(p.size for name, p in named if ".se." in name)
+    params_total = model.parameter_count() + head.class_weights.size
+    params_se = model.se_parameter_count()
     if log_fn:
         log_fn(f"training: {len(x)} chunks, {len(speakers)} speakers, "
                f"params_total={params_total} params_se={params_se}")
@@ -314,14 +314,15 @@ def score_trials(embeddings: dict[str, np.ndarray], trials) -> list[tuple[str, s
 
 
 def evaluate_checkpoint(ckpt_path: str, utts, trials, dcf: DCFParams,
-                        scores_path: str | None = None) -> dict[str, str]:
+                        scores_path: str) -> dict[str, str]:
+    """Score ``trials`` with the checkpoint, write the scores to ``scores_path``
+    and return the EER/minDCF report."""
     model, _head, _meta = load_checkpoint(ckpt_path)
     needed_ids = {t.enroll_id for t in trials} | {t.test_id for t in trials}
     needed = [u for u in utts if u.utterance_id in needed_ids]
     emb = extract_embeddings(model, needed)
     rows = score_trials(emb, trials)
-    if scores_path:
-        write_scores(scores_path, rows)
+    write_scores(scores_path, rows)
     scoreset = ScoreSet((t, score) for t, (_e, _t, score) in zip(trials, rows))
     return metrics_report(scoreset, dcf)
 

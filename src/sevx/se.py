@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import STATS_EPS, Linear, rng_for
+from .nn import Linear, population_std, rng_for
 from .tensor import ShapeError, Tensor, cat
 
 POOLINGS = ("max", "mean", "std", "mean_std")
@@ -125,9 +125,7 @@ def squeeze(x: Tensor, pooling: str) -> Tensor:
     if pooling == "mean":
         return x.mean(axis=(2, 3))
     mu = x.mean(axis=(2, 3), keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=(2, 3))
-    std = (var + STATS_EPS) ** 0.5
+    std = population_std(x, mu, axes=(2, 3))
     if pooling == "std":
         return std
     if pooling == "mean_std":
@@ -166,9 +164,6 @@ class SEUnit:
             h = layer.forward(h).relu()
         return self.fc_layers[-1].forward(h).sigmoid()
 
-    def gates(self, x: Tensor) -> Tensor:
-        return self.excite(squeeze(x, self.config.pooling))
-
     def named_parameters(self, prefix: str):
         for k, layer in enumerate(self.fc_layers):
             yield from layer.named_parameters(f"{prefix}.fc{k}")
@@ -179,7 +174,7 @@ def se_apply(x: Tensor, unit: SEUnit) -> Tensor:
     b, c, f, t = x.shape
     if c != unit.channels:
         raise ShapeError(f"se_apply: unit built for {unit.channels} channels, input has {c}")
-    s = unit.gates(x)
+    s = unit.excite(squeeze(x, unit.config.pooling))
     _record_gates(unit.name, s)
     return x * s.reshape(b, c, 1, 1)
 

@@ -265,9 +265,6 @@ class Tensor:
         a, b = self.data, other.data
         return Tensor._from_op(a / b, (self, other), lambda g: (g / b, -g * a / (b * b)))
 
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
     def __neg__(self):
         return Tensor._from_op(-self.data, (self,), lambda g: (-g,))
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from sevx.checkpoint import read_container, write_container
 from sevx.cli import main
 from sevx.pipeline import (cell_label, grid_cells, parse_grid, generate_trials,
                            load_corpus)
@@ -157,6 +158,19 @@ class TestTrainScoreMetricsAnalyze:
                        open(os.path.join(out, "train", "train_summary.tsv")).read().strip().split("\n"))
         assert summary["params_se"] == summary["params_se_closed_form"]
         assert int(summary["params_total"]) > int(summary["params_se"])
+
+    def test_nan_embedding_is_numeric_failure(self, micro_run, capsys):
+        cfg, out = micro_run
+        assert main(["train", "--config", cfg]) == 0
+        ckpt = os.path.join(out, "train", "checkpoint.sevx")
+        meta, tensors = read_container(ckpt)
+        tensors["embed.weight"][0, 0] = np.nan
+        write_container(ckpt, meta, tensors.items())
+        for command in ("extract", "score", "analyze"):
+            assert main([command, "--config", cfg]) == 2
+            assert "non-finite embedding" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "embeddings", "embeddings.sevx"))
+        assert not os.path.exists(os.path.join(out, "scores", "scores.tsv"))
 
     def test_analyze_on_se_free_checkpoint_reports_no_stages(self, tmp_path, capsys):
         out = str(tmp_path / "nose")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevx.model import BasicBlock
-from sevx.nn import BatchNorm2d, Conv2d, Linear, conv2d_reference, temporal_stats_pool
+from sevx.nn import (BN_EPS, BN_MOMENTUM, BatchNorm2d, Conv2d, Linear, conv2d_reference,
+                     temporal_stats_pool)
 from sevx.tensor import ShapeError, Tensor
 
 
@@ -87,7 +88,7 @@ class TestBatchNorm:
         bn = BatchNorm2d(2)
         x = rng_of(5).normal(size=(2, 2, 3, 3)).astype(np.float32)
         out = bn.forward(Tensor(x), train=False).data
-        np.testing.assert_allclose(out, x / np.sqrt(1 + bn.eps), atol=1e-6)
+        np.testing.assert_allclose(out, x / np.sqrt(1 + BN_EPS), atol=1e-6)
 
     def test_eval_is_affine_map_of_running_stats(self):
         bn = BatchNorm2d(3)
@@ -99,17 +100,17 @@ class TestBatchNorm:
         x = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
         out = bn.forward(Tensor(x), train=False).data
         c = (1, 3, 1, 1)
-        rstd = np.sqrt(bn.running_var.reshape(c) + bn.eps)
+        rstd = np.sqrt(bn.running_var.reshape(c) + BN_EPS)
         expected = (bn.gamma.data.reshape(c) * ((x - bn.running_mean.reshape(c)) / rstd)
                     + bn.beta.data.reshape(c))
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, expected)
 
     def test_running_stats_track_batches(self):
-        bn = BatchNorm2d(1, momentum=0.5)
+        bn = BatchNorm2d(1)
         x = np.full((2, 1, 2, 2), 10.0, dtype=np.float32)
         bn.forward(Tensor(x), train=True)
-        assert bn.running_mean[0] == pytest.approx(5.0)
+        assert bn.running_mean[0] == pytest.approx(BN_MOMENTUM * 10)
 
 
 class TestTemporalStatsPool:
