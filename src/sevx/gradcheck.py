@@ -3,7 +3,9 @@
 The oracle runs the graph in float64 (the engine's mirror precision) and
 perturbs every leaf entry by +/-eps in place, so it is independent of the
 backward rules it checks. ``run_suite`` covers every differentiable
-operation in the package and backs the ``gradcheck`` CLI command.
+operation in the package, then their compositions: a residual block with SE
+off and under each wiring, with and without the stride-2 downsample, and a
+tiny SE model through the AAM loss. It backs the ``gradcheck`` CLI command.
 """
 
 from __future__ import annotations
@@ -14,12 +16,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import AAMHead, aam_loss
+from .model import AAMHead, BasicBlock, ModelSpec, SpeakerEmbedder, aam_loss
 from .nn import BatchNorm2d, Conv2d, Linear, temporal_stats_pool
-from .se import POOLINGS, SEConfig, SEUnit, se_apply, squeeze
+from .se import INTEGRATIONS, POOLINGS, SEConfig, SEUnit, se_apply, squeeze
 from .tensor import Tensor, no_grad
 
 DEFAULT_EPS = 1e-3
+# Blocks and models put ReLUs behind train-mode batch norm, so perturbing any
+# one entry moves every pre-activation a little; a step of DEFAULT_EPS would
+# cross some ReLU kink. Float64 central differences at 1e-6 are still good to
+# about 1e-9.
+COMPOSITE_EPS = 1e-6
 RTOL = 1e-3
 ATOL = 1e-5
 
@@ -101,7 +108,8 @@ def check_gradients(
     return ok, max_abs, max_rel
 
 
-Case = Callable[[int], tuple[Callable[[], Tensor], list[Tensor]]]
+# seed -> (scalar loss function, its float64 leaves, finite-difference step)
+Case = Callable[[int], tuple[Callable[[], Tensor], list[Tensor], float]]
 
 
 def _rand(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -129,20 +137,21 @@ def _op(fn: Callable[..., Tensor], *shapes: tuple[int, ...],
         if prep is not None:
             arrays[-1] = prep(arrays[-1])
         leaves = [_leaf(a) for a in arrays]
-        return (lambda: _projected(fn(*leaves), seed + 1)), leaves
+        return (lambda: _projected(fn(*leaves), seed + 1)), leaves, DEFAULT_EPS
 
     return build_case
 
 
 def _layer(make: Callable[[np.random.Generator], object],
-           forward: Callable[[object, Tensor], Tensor], shape: tuple[int, ...]) -> Case:
+           forward: Callable[[object, Tensor], Tensor], shape: tuple[int, ...],
+           eps: float = DEFAULT_EPS) -> Case:
     """``forward(layer, x)`` with respect to its input and the layer's own parameters."""
 
     def build_case(seed: int):
         x = _leaf(_rand(np.random.default_rng(seed), *shape))
         layer = make(np.random.default_rng(seed + 7))
         leaves = [x] + [p for _, p in layer.named_parameters("layer")]
-        return (lambda: _projected(forward(layer, x), seed + 1)), leaves
+        return (lambda: _projected(forward(layer, x), seed + 1)), leaves, eps
 
     return build_case
 
@@ -153,7 +162,8 @@ def _aam_case(seed: int):
     head = AAMHead(num_speakers=5, embedding_dim=8, rng=np.random.default_rng(seed + 7),
                    dtype=np.float64)
     labels = rng.integers(0, 5, size=4)
-    return (lambda: aam_loss(emb, labels, head)), [emb] + [p for _, p in head.named_parameters()]
+    return ((lambda: aam_loss(emb, labels, head)), [emb] + [p for _, p in head.named_parameters()],
+            DEFAULT_EPS)
 
 
 def _bn_with_running_stats(rng: np.random.Generator) -> BatchNorm2d:
@@ -167,6 +177,42 @@ def _bn_with_running_stats(rng: np.random.Generator) -> BatchNorm2d:
 def _se_unit(pooling: str):
     cfg = SEConfig(pooling=pooling, reduction_factor=2, hidden_layers=2)
     return lambda rng: SEUnit(channels=4, config=cfg, rng=rng, dtype=np.float64)
+
+
+def _block(integration: str | None, down: bool) -> Case:
+    """A train-mode BasicBlock: 2 -> 2 channels at stride 1, or 2 -> 3 at
+    stride 2 with the 1x1 downsample on the skip; SE wired per ``integration``."""
+    se = SEConfig(reduction_factor=2, integration=integration) if integration else None
+    out_ch, stride, shape = (3, 2, (2, 2, 5, 5)) if down else (2, 1, (2, 2, 4, 4))
+    return _layer(
+        lambda rng: BasicBlock(2, out_ch, stride, "block", seed=int(rng.integers(1 << 31)),
+                               dtype=np.float64, se=se),
+        lambda block, x: block.forward(x, True), shape, COMPOSITE_EPS)
+
+
+_TINY_SPEC = ModelSpec(stage_blocks=(1, 1, 1, 1), stage_channels=(1, 2, 2, 2), stem_channels=1,
+                       input_mel_bins=16, segment_frames=8, embedding_dim=3, num_speakers=3)
+
+
+def _embedder_case(seed: int):
+    """A SpeakerEmbedder with one block per stage and SE on every stage,
+    through aam_loss on a fixed (2, 1, 16, 8) batch, with respect to every
+    model and head parameter.
+
+    The input is not a leaf: training never takes its gradient, and its 256
+    entries would cost more finite differences than all 348 parameters. The
+    embedding bias is drawn at random: at its zero init, an item whose last
+    stage is all ReLU-dead would embed to zero, which aam_loss rejects.
+    """
+    rng = np.random.default_rng(seed)
+    x = Tensor(_rand(rng, 2, 1, 16, 8), dtype=np.float64)
+    model = SpeakerEmbedder(_TINY_SPEC, SEConfig(reduction_factor=2, stages={1, 2, 3, 4}),
+                            seed=seed, dtype=np.float64)
+    model.embed.bias.data[...] = rng.uniform(-1.0, 1.0, 3)
+    head = AAMHead(3, 3, rng=rng, dtype=np.float64)
+    labels = rng.integers(0, 3, size=2)
+    leaves = [p for _, p in model.named_parameters()] + [p for _, p in head.named_parameters()]
+    return (lambda: aam_loss(model.forward_embedding(x, True), labels, head)), leaves, COMPOSITE_EPS
 
 
 CASES: dict[str, Case] = {
@@ -186,6 +232,11 @@ CASES: dict[str, Case] = {
                      Conv2d.forward, (1, 2, 5, 5)),
     "conv2d_stride2": _layer(lambda rng: Conv2d(2, 3, stride=(2, 2), rng=rng, dtype=np.float64),
                              Conv2d.forward, (2, 2, 6, 7)),
+    # the down conv reads one of the four stride phases
+    "conv2d_1x1_stride2": _layer(
+        lambda rng: Conv2d(2, 3, kernel=1, stride=(2, 2), padding=(0, 0), bias=False, rng=rng,
+                           dtype=np.float64),
+        Conv2d.forward, (2, 2, 5, 6)),
     "batchnorm": _layer(lambda rng: BatchNorm2d(3, dtype=np.float64),
                         partial(BatchNorm2d.forward, train=True), (2, 3, 4, 4)),
     # eval mode (second argument False): normalized by the running statistics
@@ -197,6 +248,9 @@ CASES: dict[str, Case] = {
     "stats_pool_mean": _op(partial(temporal_stats_pool, mode="mean"), (2, 3, 2, 5)),
     "stats_pool_mean_std": _op(partial(temporal_stats_pool, mode="mean_std"), (2, 3, 2, 5)),
     "aam_loss": _aam_case,
+    **{f"block_{mode or 'se_off'}{'_down' if down else ''}": _block(mode, down)
+       for mode in (None,) + INTEGRATIONS for down in (False, True)},
+    "embedder_aam_loss": _embedder_case,
 }
 
 

@@ -5,6 +5,13 @@ Feature maps are (batch, channels, freq, time). All 3x3 convolutions use
 padding 1 so stride-1 layers preserve spatial dims and stride-2 layers halve
 them with floor division, which is what keeps the
 full-scale stack's per-stage output sizes on their intended grid.
+
+Convolution works on a channel-major, zero-padded copy of its input split
+into stride phases: each tap of the kernel is then a contiguous column window
+of one phase, so the forward pass is one GEMM over a transient stack of those
+windows and the backward pass one GEMM per tap. The tape keeps only the phase
+buffer, about the size of the input, not a kernel-squared column matrix
+(the low-memory GEMM family of Anderson et al., arXiv 1709.03395).
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, Tensor, cat
 
@@ -60,32 +67,35 @@ class Linear:
         yield f"{prefix}.bias", self.bias
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sf: int, st: int) -> tuple[np.ndarray, int, int]:
-    # xp: padded input (b, c, fp, tp) -> cols (c*kh*kw, b*fo*to)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sf, ::st]
-    b, c, fo, to = win.shape[:4]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * fo * to)
-    return np.ascontiguousarray(cols), fo, to
-
-
-def _col2im(dcols: np.ndarray, xshape: tuple, kh: int, kw: int, sf: int, st: int,
-            pf: int, pt: int, fo: int, to: int) -> np.ndarray:
-    b, c, f, t = xshape
-    dxp = np.zeros((b, c, f + 2 * pf, t + 2 * pt), dtype=dcols.dtype)
-    dc = dcols.reshape(c, kh, kw, b, fo, to)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + sf * fo:sf, j:j + st * to:st] += dc[:, i, j].transpose(1, 0, 2, 3)
-    if pf or pt:
-        return dxp[:, :, pf:pf + f, pt:pt + t]
-    return dxp
+def _phase_span(n: int, pad: int, stride: int, phase: int, cells: int) -> tuple[slice, slice]:
+    """Cells of one stride phase of a padded axis that hold input, and the input
+    indices they hold: cell u is padded index ``phase + stride*u``, input index
+    ``phase + stride*u - pad``."""
+    lo = -((phase - pad) // stride)                            # first cell at input index >= 0
+    hi = max(lo, min(cells, -((phase - pad - n) // stride)))   # one past the last below n
+    start = phase + stride * lo - pad
+    return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
 
 
 class Conv2d:
-    """3x3 (by default) cross-correlation over (freq, time), via im2col + GEMM.
+    """3x3 (by default) cross-correlation over (freq, time) on a stride-phase
+    buffer, with the tape keeping only that buffer.
 
-    The im2col buffer is kept for the weight-gradient GEMM whenever the
-    weights are on the tape; grad-free forward passes drop it immediately.
+    The zero-padded input is split into its stride phases, channel-major:
+    phase (p, q) holds padded rows p, p+sf, ... and columns q, q+st, ..., on a
+    grid of Fg = fo + (k-1)//sf by Tg = to + (k-1)//st cells per batch item.
+    Only phases some tap reads are built (one for stride 1, one for a 1x1
+    stride-2 conv). Flattened to (cin, b*Fg*Tg), tap (i, j) is a contiguous
+    column window, at offset (i//sf)*Tg + j//st, of phase (i%sf, j%st); the
+    n_out columns it spans cover every output on the (Fg, Tg) grid.
+
+    Forward is one GEMM of the (cout, cin*k*k) weights over a transient
+    (cin, k, k, n_out) stack of the k*k windows; the output is cropped from the
+    grid. Backward places the output gradient once on a zero grid; dW is one
+    GEMM per tap against that tap's window, and dX adds one GEMM per tap into
+    the phase grid, in tap order, before the padding is dropped. Only the
+    phase buffer (about the input's size for stride 1) stays on the tape, and
+    only while the weights are on it.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
@@ -110,34 +120,72 @@ class Conv2d:
         if cin != self.in_channels:
             raise ShapeError(
                 f"conv2d expects {self.in_channels} input channels, got {cin}")
-        kh = kw = self.kernel
+        k, cout = self.kernel, self.out_channels
         sf, st = self.stride
         pf, pt = self.padding
-        fo = (f + 2 * pf - kh) // sf + 1
-        to = (t + 2 * pt - kw) // st + 1
+        fo = (f + 2 * pf - k) // sf + 1
+        to = (t + 2 * pt - k) // st + 1
         if fo <= 0 or to <= 0:
             raise ShapeError(
-                f"conv2d output would be empty for input {x.shape} with kernel {kh}x{kw}")
+                f"conv2d output would be empty for input {x.shape} with kernel {k}x{k}")
 
         weight, bias = self.weight, self.bias
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pf, pf), (pt, pt))) if (pf or pt) else x.data
-        cols, fo2, to2 = _im2col(xp, kh, kw, sf, st)
-        assert (fo2, to2) == (fo, to)
-        wmat = weight.data.reshape(self.out_channels, cin * kh * kw)
-        out = (wmat @ cols).reshape(self.out_channels, b, fo, to).transpose(1, 0, 2, 3)
-        out = np.ascontiguousarray(out)
-        if bias is not None:
-            out += bias.data.reshape(1, self.out_channels, 1, 1)
+        fg, tg = fo + (k - 1) // sf, to + (k - 1) // st
+        n_out = b * fg * tg - (fg - fo) * tg - (tg - to)
+        phases = sorted({(i % sf, j % st) for i in range(k) for j in range(k)})
+        # (row, column) cells of each phase grid that hold input, and the input they hold
+        spans = [(_phase_span(f, pf, sf, p, fg), _phase_span(t, pt, st, q, tg)) for p, q in phases]
+        # (i, j, phase, column offset) of every tap, in the weights' (i, j) order
+        taps = [(i, j, phases.index((i % sf, j % st)), (i // sf) * tg + j // st)
+                for i in range(k) for j in range(k)]
+
+        grid = np.zeros((len(phases), cin, b, fg, tg), dtype=x.dtype)
+        xc = x.data.transpose(1, 0, 2, 3)
+        for ph, ((gu, xu), (gv, xv)) in zip(grid, spans):
+            ph[:, :, gu, gv] = xc[:, :, xu, xv]
+        flat = grid.reshape(len(phases), cin, b * fg * tg)
+
+        # the windows of phase (p, q)'s taps (p + sf*u, q + st*v), as one view:
+        # one copy per phase, channel by channel, with whole windows as rows
+        item = grid.itemsize
+        stack = np.empty((cin, k, k, n_out), dtype=x.dtype)
+        for (p, q), ph in zip(phases, flat):
+            stack[:, p::sf, q::st] = as_strided(
+                ph, (cin, len(range(p, k, sf)), len(range(q, k, st)), n_out),
+                (ph.strides[0], tg * item, item, item))
+        y = weight.data.reshape(cout, cin * k * k) @ stack.reshape(cin * k * k, n_out)
+        del stack
+        on_grid = as_strided(y, (cout, b, fo, to), (n_out * item, fg * tg * item, tg * item, item))
+        on_grid = on_grid.transpose(1, 0, 2, 3)
+        # cropping copies anyway, so the bias add rides along
+        out = (np.add(on_grid, bias.data.reshape(1, cout, 1, 1), order="C") if bias is not None
+               else np.ascontiguousarray(on_grid))
 
         parents = (x, weight) + ((bias,) if bias is not None else ())
-        xshape = x.shape
-        saved_cols = cols if weight.requires_grad else None
+        wdata, xshape = weight.data, x.shape
+        saved = flat if weight.requires_grad else None
 
         def backward(g):
-            gmat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(self.out_channels, b * fo * to)
-            dx = (_col2im(wmat.T @ gmat, xshape, kh, kw, sf, st, pf, pt, fo, to)
-                  if x.requires_grad else None)
-            dw = (gmat @ saved_cols.T).reshape(weight.shape) if saved_cols is not None else None
+            ggrid = np.zeros((cout, b, fg, tg), dtype=g.dtype)
+            ggrid[:, :, :fo, :to] = g.transpose(1, 0, 2, 3)
+            gm = ggrid.reshape(cout, b * fg * tg)[:, :n_out]
+            dw = None
+            if saved is not None:
+                dwk = np.empty((k, k, cout, cin), dtype=g.dtype)
+                for i, j, p, off in taps:
+                    np.matmul(gm, saved[p, :, off:off + n_out].T, out=dwk[i, j])
+                dw = np.ascontiguousarray(dwk.transpose(2, 3, 0, 1))
+            dx = None
+            if x.requires_grad:
+                dgrid = np.zeros((len(phases), cin, b, fg, tg), dtype=g.dtype)
+                dflat = dgrid.reshape(len(phases), cin, b * fg * tg)
+                wt = np.ascontiguousarray(wdata.transpose(2, 3, 1, 0))    # (k, k, cin, cout)
+                for i, j, p, off in taps:
+                    dflat[p, :, off:off + n_out] += wt[i, j] @ gm
+                dx = np.zeros(xshape, dtype=g.dtype)
+                dxc = dx.transpose(1, 0, 2, 3)
+                for dph, ((gu, xu), (gv, xv)) in zip(dgrid, spans):
+                    dxc[:, :, xu, xv] = dph[:, :, gu, gv]
             return (dx, dw) + ((g.sum(axis=(0, 2, 3)),) if bias is not None else ())
 
         return Tensor._from_op(out, parents, backward)
@@ -241,7 +289,7 @@ def temporal_stats_pool(x: Tensor, mode: str = "mean") -> Tensor:
 
 def conv2d_reference(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
                      stride: tuple[int, int], padding: tuple[int, int]) -> np.ndarray:
-    """Direct six-nested-loop convolution, the oracle for the im2col path."""
+    """Direct six-nested-loop convolution, the oracle for Conv2d."""
     b, cin, f, t = x.shape
     cout, cin_w, kh, kw = weight.shape
     assert cin == cin_w

@@ -10,11 +10,13 @@ the output tensor, and ``backward`` replays the rules in reverse topological
 order. A rule is a pure function of the output gradient: it returns one
 gradient per parent, in the parent's dtype, or ``None`` for a parent it
 skips. ``backward`` alone stores them. It sums a broadcast contribution down
-to its parent's shape and accumulates out of place, so a gradient array is
-never written after it is stored. A leaf's ``.grad`` may therefore be a
-shared, read-only view (of another leaf's gradient, say) that is only ever
-read. Leaf gradients accumulate across ``backward`` calls; call
-``zero_grad`` (or drop the graph) between steps.
+to its parent's shape. The first sum into a gradient is out of place; later
+ones add in place into that sum, an array the same call allocated, so an
+array a rule returned, or a ``.grad`` stored before the call, is never
+written. A leaf's ``.grad`` may therefore be a shared, read-only view (of
+another leaf's gradient, say) that is only ever read. Leaf gradients
+accumulate across ``backward`` calls; call ``zero_grad`` (or drop the graph)
+between steps.
 """
 
 from __future__ import annotations
@@ -213,15 +215,26 @@ class Tensor:
             if node._parents:
                 node.grad = None
         self.grad = np.ones_like(self.data)
+        # sums this call allocated that no rule has seen yet, by id; holding
+        # them keeps each id unique
+        owned: dict[int, np.ndarray] = {}
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
+            # node.grad is complete now, and a rule may hand it on as it is (add does)
+            owned.pop(id(node.grad), None)
             for parent, g in zip(node._parents, node._backward(node.grad), strict=True):
                 if g is None or not parent.requires_grad:
                     continue
                 if g.shape != parent.shape:
                     g = _unbroadcast(g, parent.shape)
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if parent.grad is None:
+                    parent.grad = g
+                elif id(parent.grad) in owned:
+                    parent.grad += g
+                else:
+                    parent.grad = parent.grad + g
+                    owned[id(parent.grad)] = parent.grad
 
     # ---- elementwise arithmetic ----------------------------------------
 

@@ -21,7 +21,7 @@ from sevx.model import (AAMHead, BasicBlock, ModelSpec, SGDOptimizer, build_mode
                         train_step)
 from sevx.pipeline import (corpus_dir, evaluate_checkpoint, load_corpus, run_training,
                            save_checkpoint, write_corpus)
-from sevx.se import SEConfig, SEUnit, se_apply
+from sevx.se import INTEGRATIONS, SEConfig, SEUnit, se_apply
 from sevx.tensor import Tensor, set_sequential
 
 
@@ -86,7 +86,9 @@ def test_criterion_1_gradient_suite():
     required = {"conv2d", "batchnorm", "linear", "relu", "sigmoid", "log_softmax",
                 "squeeze_max", "squeeze_mean", "squeeze_std", "squeeze_mean_std",
                 "excite", "se_apply", "stats_pool_mean", "stats_pool_mean_std",
-                "aam_loss"}
+                "aam_loss", "conv2d_1x1_stride2", "embedder_aam_loss"}
+    required |= {f"block_{mode}{down}" for mode in ("se_off",) + INTEGRATIONS
+                 for down in ("", "_down")}
     assert required <= set(CASES)
     t0 = time.time()
     results = run_suite(seeds=(0, 1, 2, 3, 4))

@@ -1,5 +1,7 @@
 """Layer semantics: convolution vs the naive oracle, batch norm, pooling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,14 +33,37 @@ class TestConv2d:
         out = conv.forward(Tensor(np.zeros((1, 1, 60, 400), dtype=np.float32)))
         assert out.shape == (1, 128, 30, 200)
 
-    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2)])
-    def test_matches_naive_six_loop_reference(self, stride):
+    @pytest.mark.parametrize("stride, kernel, shape", [
+        ((1, 1), 3, (1, 2, 5, 5)),
+        ((2, 2), 3, (1, 2, 5, 5)),
+        ((1, 2), 3, (1, 2, 5, 5)),
+        ((2, 2), 1, (2, 2, 6, 7)),     # the down conv: padding 0, one stride phase read
+        ((1, 1), 3, (3, 2, 5, 5)),
+        ((2, 2), 3, (2, 2, 7, 9)),
+        ((2, 1), 3, (2, 2, 7, 9)),
+    ], ids=["stride0", "stride1", "stride2", "kernel1-stride2", "batch3", "stride2-odd-7x9",
+            "stride2x1"])
+    def test_matches_naive_six_loop_reference(self, stride, kernel, shape):
         rng = rng_of(7)
-        x = rng.normal(size=(1, 2, 5, 5))
-        conv = Conv2d(2, 3, stride=stride, rng=rng_of(8), dtype=np.float64)
+        x = rng.normal(size=shape)
+        conv = Conv2d(shape[1], 3, kernel=kernel, stride=stride, rng=rng_of(8), dtype=np.float64)
         out = conv.forward(Tensor(x, dtype=np.float64))
         ref = conv2d_reference(x, conv.weight.data, conv.bias.data, stride, conv.padding)
         np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-12)
+
+    def test_tape_keeps_about_one_input_not_the_columns(self):
+        # an im2col tape would keep kernel*kernel = 9 copies of the input
+        conv = Conv2d(16, 16, rng=rng_of(9))
+        x = Tensor(rng_of(10).normal(size=(20, 16, 60, 64)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv.forward(x)
+            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained <= 1.5 * x.data.nbytes
 
     def test_channel_mismatch_error(self):
         conv = Conv2d(3, 4)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevx import gradcheck
 from sevx.gradcheck import check_gradients
+from sevx.model import BasicBlock
+from sevx.se import se_apply
 from sevx.tensor import NumericError, ShapeError, Tensor, cat, no_grad
 
 
@@ -132,6 +135,17 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, [4.0, 4.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
+    def test_three_consumers_get_the_exact_sum(self):
+        # ``a`` feeds add, *5 and *7; ``h`` gets its sum from two consumers,
+        # and add hands that sum on to ``a`` and ``b`` as the same array
+        a = t([1.0, 2.0], grad=True)
+        b = t([3.0, 4.0], grad=True)
+        h = a + b
+        ((h * 2.0).sum() + (h * 3.0).sum() + (a * 5.0).sum() + (a * 7.0).sum()).backward()
+        np.testing.assert_array_equal(h.grad, [5.0, 5.0])
+        np.testing.assert_array_equal(a.grad, [17.0, 17.0])
+        np.testing.assert_array_equal(b.grad, [5.0, 5.0])
+
     def test_rule_with_wrong_gradient_count_rejected(self):
         x = t([1.0, 2.0], grad=True)
         out = Tensor._from_op(2 * x.data, (x,), lambda g: (2 * g, g))
@@ -222,6 +236,20 @@ def test_gradient_check_catches_wrong_backward_rule():
     ok, max_abs, _ = check_gradients(loss, [x], eps=2.0 ** -10)
     assert ok is False
     assert max_abs == 1
+
+
+@pytest.mark.parametrize("case", ["block_pre", "block_pre_down"])
+def test_gradient_check_catches_gated_pre_skip(case, monkeypatch):
+    # the pre wiring must leave the skip ungated; this block's skip reads the
+    # gated input's values while its tape edge still claims the ungated input
+    class GatedSkipBlock(BasicBlock):
+        def shortcut(self, x, train):
+            gated = se_apply(x, self.se)
+            return super().shortcut(Tensor._from_op(gated.data, (x,), lambda g: (g,)), train)
+
+    assert check_gradients(*gradcheck.CASES[case](0))[0]
+    monkeypatch.setattr(gradcheck, "BasicBlock", GatedSkipBlock)
+    assert not check_gradients(*gradcheck.CASES[case](0))[0]
 
 
 def test_no_grad_blocks_tape():
