@@ -112,9 +112,8 @@ class BasicBlock:
                             rng=rng_for(seed, f"{name}.conv2"), dtype=dtype)
         self.bn2 = BatchNorm2d(out_channels, dtype=dtype)
         if stride != 1 or in_channels != out_channels:
-            self.down_conv = Conv2d(in_channels, out_channels, kernel=1,
-                                    stride=(stride, stride), padding=(0, 0), bias=False,
-                                    rng=rng_for(seed, f"{name}.down"), dtype=dtype)
+            self.down_conv = Conv2d(in_channels, out_channels, kernel=1, stride=(stride, stride),
+                                    padding=(0, 0), rng=rng_for(seed, f"{name}.down"), dtype=dtype)
             self.down_bn = BatchNorm2d(out_channels, dtype=dtype)
         else:
             self.down_conv = None

@@ -95,12 +95,16 @@ class Conv2d:
     GEMM per tap against that tap's window, and dX adds one GEMM per tap into
     the phase grid, in tap order, before the padding is dropped. Only the
     phase buffer (about the input's size for stride 1) stays on the tape, and
-    only while the weights are on it.
+    only while the weights are on it. There is no bias: each model conv feeds a
+    batch norm, which cancels it; BN's beta is the per-channel shift. ``bias``
+    is accepted only as False.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
                  stride: tuple[int, int] = (1, 1), padding: tuple[int, int] | None = None,
-                 bias: bool = True, rng: np.random.Generator | None = None, dtype=np.float32):
+                 bias: bool = False, rng: np.random.Generator | None = None, dtype=np.float32):
+        if bias:
+            raise ValueError("Conv2d has no bias; the batch norm after it shifts")
         rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -111,7 +115,7 @@ class Conv2d:
         self.weight = Tensor(
             _uniform_fan_in(rng, fan_in, (out_channels, in_channels, kernel, kernel), dtype),
             requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
+        self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
@@ -129,7 +133,7 @@ class Conv2d:
             raise ShapeError(
                 f"conv2d output would be empty for input {x.shape} with kernel {k}x{k}")
 
-        weight, bias = self.weight, self.bias
+        weight = self.weight
         fg, tg = fo + (k - 1) // sf, to + (k - 1) // st
         n_out = b * fg * tg - (fg - fo) * tg - (tg - to)
         phases = sorted({(i % sf, j % st) for i in range(k) for j in range(k)})
@@ -157,11 +161,8 @@ class Conv2d:
         del stack
         on_grid = as_strided(y, (cout, b, fo, to), (n_out * item, fg * tg * item, tg * item, item))
         on_grid = on_grid.transpose(1, 0, 2, 3)
-        # cropping copies anyway, so the bias add rides along
-        out = (np.add(on_grid, bias.data.reshape(1, cout, 1, 1), order="C") if bias is not None
-               else np.ascontiguousarray(on_grid))
+        out = np.ascontiguousarray(on_grid)
 
-        parents = (x, weight) + ((bias,) if bias is not None else ())
         wdata, xshape = weight.data, x.shape
         saved = flat if weight.requires_grad else None
 
@@ -186,14 +187,12 @@ class Conv2d:
                 dxc = dx.transpose(1, 0, 2, 3)
                 for dph, ((gu, xu), (gv, xv)) in zip(dgrid, spans):
                     dxc[:, :, xu, xv] = dph[:, :, gu, gv]
-            return (dx, dw) + ((g.sum(axis=(0, 2, 3)),) if bias is not None else ())
+            return dx, dw
 
-        return Tensor._from_op(out, parents, backward)
+        return Tensor._from_op(out, (x, weight), backward)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.weight", self.weight
-        if self.bias is not None:
-            yield f"{prefix}.bias", self.bias
 
 
 class BatchNorm2d:
@@ -287,8 +286,7 @@ def temporal_stats_pool(x: Tensor, mode: str = "mean") -> Tensor:
     return cat([flat_mu, std.reshape(b, c * f)], axis=1)
 
 
-def conv2d_reference(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
-                     stride: tuple[int, int], padding: tuple[int, int]) -> np.ndarray:
+def conv2d_reference(x: np.ndarray, weight: np.ndarray, stride: tuple[int, int], padding: tuple[int, int]) -> np.ndarray:
     """Direct six-nested-loop convolution, the oracle for Conv2d."""
     b, cin, f, t = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -309,6 +307,4 @@ def conv2d_reference(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
                             for v in range(kw):
                                 acc += xp[n, ci, i * sf + u, j * st + v] * weight[co, ci, u, v]
                     out[n, co, i, j] = acc
-            if bias is not None:
-                out[n, co] += bias[co]
     return out.astype(x.dtype)

@@ -94,6 +94,10 @@ def test_criterion_1_gradient_suite():
     results = run_suite(seeds=(0, 1, 2, 3, 4))
     elapsed = time.time() - t0
     failures = [r for r in results if not r.passed]
+    # composite gradients too small for central differences to resolve are
+    # measured against ATOL, so the relative column stays meaningful
+    failures += [r for r in results if (r.op.startswith("block_") or r.op == "embedder_aam_loss")
+                 and r.max_rel_err >= 1e-2]
     for r in failures:
         print(r.line())
     announce(

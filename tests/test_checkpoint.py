@@ -175,3 +175,17 @@ class TestLoadCheckpoint:
         write_container(path, meta, tensors.items())
         with pytest.raises(ValueError, match=name):
             load_checkpoint(path)
+
+    def test_unexpected_tensor_is_named(self, tmp_path):
+        # a checkpoint from before the convs lost their biases holds tensors
+        # the model no longer has
+        model = build_model(self.SPEC, None, seed=5)
+        path = str(tmp_path / "ckpt.sevx")
+        save_checkpoint(path, model, AAMHead(4, self.SPEC.embedding_dim, seed=5),
+                        RunConfig({"seed": "5"}))
+        meta, tensors = read_container(path)
+        name = "stage1.block0.conv1.bias"
+        tensors[name] = np.zeros(model.stages[0][0].conv1.out_channels, dtype=np.float32)
+        write_container(path, meta, tensors.items())
+        with pytest.raises(ValueError, match=f"unexpected.*{name}"):
+            load_checkpoint(path)

@@ -8,7 +8,7 @@ import pytest
 from sevx.model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, aam_loss,
                         build_model, cosine_logits, extract_embedding, se_census,
                         train_step)
-from sevx.se import SEConfig
+from sevx.se import INTEGRATIONS, SEConfig
 from sevx.tensor import NumericError, ShapeError, Tensor
 
 
@@ -87,6 +87,17 @@ class TestAssembly:
         pb = dict(b.named_parameters())
         shared = [n for n in pa if ".se." not in n]
         assert shared and all(np.array_equal(pa[n].data, pb[n].data) for n in shared)
+
+    def test_no_conv_has_a_bias(self):
+        # every conv feeds a batch norm, whose mean subtraction would cancel a bias
+        cfgs = [None] + [SEConfig(integration=w, stages=frozenset({1, 2})) for w in INTEGRATIONS]
+        models = [build_model(TOY, cfg, seed=0) for cfg in cfgs]
+        paper = build_model(ModelSpec(), SEConfig(stages=frozenset({1, 2})), seed=0)
+        for model in models + [paper]:
+            conv_biases = [n for n, _ in model.named_parameters()
+                           if n.endswith(("conv.bias", "conv1.bias", "conv2.bias", "down.bias"))]
+            assert conv_biases == []
+        assert paper.parameter_count() == 13_128_160
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

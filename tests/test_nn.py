@@ -19,7 +19,7 @@ def rng_of(seed):
 
 class TestConv2d:
     def test_delta_kernel_is_identity(self):
-        conv = Conv2d(1, 1, bias=False)
+        conv = Conv2d(1, 1)
         w = np.zeros((1, 1, 3, 3), dtype=np.float32)
         w[0, 0, 1, 1] = 1.0
         conv.weight = Tensor(w)
@@ -48,7 +48,7 @@ class TestConv2d:
         x = rng.normal(size=shape)
         conv = Conv2d(shape[1], 3, kernel=kernel, stride=stride, rng=rng_of(8), dtype=np.float64)
         out = conv.forward(Tensor(x, dtype=np.float64))
-        ref = conv2d_reference(x, conv.weight.data, conv.bias.data, stride, conv.padding)
+        ref = conv2d_reference(x, conv.weight.data, stride, conv.padding)
         np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-12)
 
     def test_tape_keeps_about_one_input_not_the_columns(self):
@@ -75,8 +75,14 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="empty"):
             conv.forward(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)))
 
+    def test_bias_is_refused(self):
+        # every conv feeds a batch norm, whose shift a bias would duplicate
+        with pytest.raises(ValueError, match="no bias"):
+            Conv2d(1, 1, bias=True)
+        assert Conv2d(1, 1, bias=False).bias is None
+
     def test_linearity_without_bias(self):
-        conv = Conv2d(2, 3, bias=False, rng=rng_of(5))
+        conv = Conv2d(2, 3, rng=rng_of(5))
         x = rng_of(6).normal(size=(2, 2, 6, 6)).astype(np.float32)
         out1 = conv.forward(Tensor(3.0 * x)).data
         out2 = 3.0 * conv.forward(Tensor(x)).data
