@@ -1,4 +1,4 @@
-"""SEVX binary tensor container.
+"""SEVX binary tensor container, and the settings text it shares with configs.
 
 Layout: magic ``SEVX``, format version (u32 LE), length-prefixed UTF-8
 metadata block (u64 LE length; dotted key = value lines), then named tensors
@@ -29,14 +29,34 @@ def metadata_to_text(meta: dict[str, str]) -> str:
 
 
 def metadata_from_text(text: str) -> dict[str, str]:
+    """Inverse of ``metadata_to_text``; blank lines and ``#`` comments are
+    skipped, and any other line without ``=`` raises ``ValueError``."""
     meta: dict[str, str] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         meta[key.strip()] = value.strip()
     return meta
+
+
+def list_to_text(items) -> str:
+    return ",".join(map(str, items))
+
+
+def list_from_text(text: str, parse) -> tuple:
+    """Inverse of ``list_to_text``: ``parse`` (``int`` or ``float``, which both
+    reject a blank item) of each comma-separated item; blank text is ``()``."""
+    if not text.strip():
+        return ()
+    try:
+        return tuple(parse(item) for item in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"expected a comma list of {parse.__name__} values, got {text!r}") from None
 
 
 def write_container(path: str, metadata: str, tensors) -> None:

@@ -2,7 +2,8 @@
 analyze, gradcheck.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime numeric failure,
-3 missing or corrupt artifact. SEVERIF_SEED overrides the config seed. Every
+3 missing or corrupt artifact (including a checkpoint whose metadata or
+tensors do not decode to a model). SEVERIF_SEED overrides the config seed. Every
 command but gradcheck freezes its resolved config under <out>/configs/ for
 the audit trail.
 """

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from .checkpoint import list_from_text, metadata_from_text, metadata_to_text
 from .features import SynthSpec
 from .metrics import DCFParams
 from .model import MIN_FRAMES, ModelSpec
@@ -40,7 +41,6 @@ SCHEMA: dict[str, _Field] = {
     "out": _Field(str, "runs/exp"),
     "model.scale_factor": _Field(float, ModelSpec.scale_factor),
     "model.embedding_dim": _Field(int, ModelSpec.embedding_dim),
-    "model.input_mel_bins": _Field(int, ModelSpec.input_mel_bins),
     "model.segment_frames": _Field(int, ModelSpec.segment_frames),
     "model.temporal_pooling": _Field(str, ModelSpec.temporal_pooling),
     "se.pooling": _Field(str, SEConfig.pooling),
@@ -90,16 +90,10 @@ TOY_CONFIG: dict[str, str] = {
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw key -> value strings from ``key = value`` lines."""
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
-    return raw
+    try:
+        return metadata_from_text(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 class RunConfig:
@@ -122,22 +116,18 @@ class RunConfig:
             if field.check is not None and not field.check(value):
                 raise ConfigError(f"{key}: invalid value {value!r}")
             self.values[key] = value
-        self._parse_milestones()
+        text = self.values["optim.lr_decay_milestones"]
+        try:
+            self._milestones = list_from_text(text, float)
+        except ValueError as exc:
+            raise ConfigError(f"optim.lr_decay_milestones: {exc}") from None
+        if any(not 0 < m < 1 for m in self._milestones):
+            raise ConfigError("optim.lr_decay_milestones must lie in (0, 1)")
         try:
             for build in (self.model_spec, self.se_config, self.synth_spec, self.dcf_params):
                 build()
         except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
-
-    def _parse_milestones(self) -> tuple[float, ...]:
-        text = self.values["optim.lr_decay_milestones"]
-        try:
-            ms = tuple(float(v) for v in text.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"optim.lr_decay_milestones: bad value {text!r}") from exc
-        if any(not 0 < m < 1 for m in ms):
-            raise ConfigError("optim.lr_decay_milestones must lie in (0, 1)")
-        return ms
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
@@ -152,7 +142,7 @@ class RunConfig:
 
     def render(self) -> str:
         """Canonical text form, written as the frozen copy of every run."""
-        return "".join(f"{k} = {v}\n" for k, v in sorted(self.as_text_dict().items()))
+        return metadata_to_text(dict(sorted(self.as_text_dict().items())))
 
     # ---- typed views ------------------------------------------------------
 
@@ -187,4 +177,4 @@ class RunConfig:
                          self.values["eval.c_fa"])
 
     def lr_milestones(self) -> tuple[float, ...]:
-        return self._parse_milestones()
+        return self._milestones

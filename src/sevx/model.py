@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checkpoint import list_from_text, list_to_text
 from .nn import BatchNorm2d, Conv2d, Linear, rng_for, temporal_stats_pool
 from .se import SEConfig, SEUnit, se_apply
 from .tensor import NumericError, ShapeError, Tensor, no_grad
@@ -59,18 +60,11 @@ class ModelSpec:
         return self.scaled(self.stem_channels)
 
     def to_metadata(self) -> dict[str, str]:
-        return {
-            "model.stage_blocks": ",".join(map(str, self.stage_blocks)),
-            "model.stage_channels": ",".join(map(str, self.stage_channels)),
-            "model.stage_strides": ",".join(map(str, self.stage_strides)),
-            "model.stem_channels": str(self.stem_channels),
-            "model.input_mel_bins": str(self.input_mel_bins),
-            "model.segment_frames": str(self.segment_frames),
-            "model.embedding_dim": str(self.embedding_dim),
-            "model.num_speakers": str(self.num_speakers),
-            "model.scale_factor": repr(self.scale_factor),
-            "model.temporal_pooling": self.temporal_pooling,
-        }
+        meta = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            meta[f"model.{f.name}"] = list_to_text(value) if isinstance(value, tuple) else str(value)
+        return meta
 
     @classmethod
     def from_metadata(cls, meta: dict[str, str]) -> "ModelSpec":
@@ -81,7 +75,7 @@ class ModelSpec:
             text = meta.get(f"model.{f.name}")
             if text is None:
                 continue
-            kwargs[f.name] = (tuple(int(v) for v in text.split(","))
+            kwargs[f.name] = (list_from_text(text, int)
                               if isinstance(f.default, tuple) else type(f.default)(text))
         return cls(**kwargs)
 
@@ -171,9 +165,7 @@ class SpeakerEmbedder:
     def __init__(self, spec: ModelSpec, se_config: SEConfig | None = None,
                  seed: int = 1234, dtype=np.float32):
         self.spec = spec
-        self.se_config = se_config if se_config is not None and se_config.enabled else None
-        self.seed = seed
-        self.dtype = dtype
+        self.se_config = se_config if se_config is not None else SEConfig(stages=frozenset())
 
         stem_ch = spec.scaled_stem_channels
         self.stem_conv = Conv2d(1, stem_ch, stride=(1, 1), rng=rng_for(seed, "stem.conv"), dtype=dtype)
@@ -184,8 +176,7 @@ class SpeakerEmbedder:
         for si in range(4):
             stage_num = si + 1
             out_ch = spec.scaled_stage_channels[si]
-            stage_se = (self.se_config if self.se_config is not None
-                        and stage_num in self.se_config.stages else None)
+            stage_se = self.se_config if stage_num in self.se_config.stages else None
             blocks = []
             for bi in range(spec.stage_blocks[si]):
                 stride = spec.stage_strides[si] if bi == 0 else 1
@@ -199,7 +190,6 @@ class SpeakerEmbedder:
         for s in spec.stage_strides:
             if s == 2:
                 freq_out = (freq_out + 2 - 3) // 2 + 1
-        self.freq_out = freq_out
         flat = in_ch * freq_out * (2 if spec.temporal_pooling == "mean_std" else 1)
         self.flatten_dim = flat
         self.embed = Linear(flat, spec.embedding_dim, rng=rng_for(seed, "embed"), dtype=dtype)
@@ -285,10 +275,9 @@ class AAMHead:
                  seed: int = 1234, dtype=np.float32):
         if not (0 <= margin < math.pi / 2):
             raise ValueError("margin must be in [0, pi/2)")
-        if scale <= 0:
+        if not scale > 0:
             raise ValueError("scale must be positive")
         self.num_speakers = num_speakers
-        self.embedding_dim = embedding_dim
         self.scale = scale
         self.margin = margin
         rng = rng if rng is not None else rng_for(seed, "head.class_weights")

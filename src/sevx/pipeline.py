@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import metadata_from_text, metadata_to_text, read_container, write_container
+from .checkpoint import (ContainerError, list_to_text, metadata_from_text, metadata_to_text,
+                         read_container, write_container)
 from .config import ConfigError, RunConfig
 from .features import Utterance, chunk, featurize_wav, generate_synthetic_corpus
 from .metrics import (DCFParams, ScoreSet, Trial, cosine_score, metrics_report,
@@ -228,7 +229,7 @@ def run_training(config: RunConfig, utts, run_dir: str,
     with open(os.path.join(run_dir, TRAIN_SUMMARY_NAME), "w", encoding="utf-8") as f:
         f.write(f"params_total\t{params_total}\n")
         f.write(f"params_se\t{params_se}\n")
-        f.write(f"params_se_closed_form\t{se_census(spec, se_cfg) if se_cfg.enabled else 0}\n")
+        f.write(f"params_se_closed_form\t{se_census(spec, se_cfg)}\n")
         f.write(f"final_loss\t{loss:.6f}\n")
         f.write(f"train_accuracy\t{acc:.6f}\n")
         f.write(f"steps\t{step}\n")
@@ -244,8 +245,7 @@ def save_checkpoint(path: str, model: SpeakerEmbedder, head: AAMHead,
                     config: RunConfig) -> None:
     meta: dict[str, str] = {}
     meta.update(model.spec.to_metadata())
-    se_cfg = model.se_config if model.se_config is not None else SEConfig(stages=frozenset())
-    meta.update(se_cfg.to_metadata())
+    meta.update(model.se_config.to_metadata())
     meta["head.scale"] = repr(head.scale)
     meta["head.margin"] = repr(head.margin)
     meta["seed"] = str(config.seed)
@@ -261,30 +261,33 @@ def _checkpoint_arrays(model: SpeakerEmbedder, head: AAMHead):
 
 
 def load_checkpoint(path: str) -> tuple[SpeakerEmbedder, AAMHead, dict[str, str]]:
+    """Model, head and metadata; metadata or tensors that do not fit raise ``ContainerError``."""
     if not os.path.exists(path):
         raise MissingArtifactError(f"checkpoint not found: {path}")
     meta_text, tensors = read_container(path)
-    meta = metadata_from_text(meta_text)
-    spec = ModelSpec.from_metadata(meta)
-    se_cfg = SEConfig.from_metadata(meta)
-    seed = int(meta.get("seed", "0"))
-    model = build_model(spec, se_cfg, seed=seed)
-    head = AAMHead(spec.num_speakers, spec.embedding_dim,
-                   scale=float(meta.get("head.scale", "30.0")),
-                   margin=float(meta.get("head.margin", "0.4")), seed=seed)
+    try:
+        meta = metadata_from_text(meta_text)
+        spec = ModelSpec.from_metadata(meta)
+        seed = int(meta.get("seed", "0"))
+        model = build_model(spec, SEConfig.from_metadata(meta), seed=seed)
+        head = AAMHead(spec.num_speakers, spec.embedding_dim,
+                       scale=float(meta.get("head.scale", "30.0")),
+                       margin=float(meta.get("head.margin", "0.4")), seed=seed)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: corrupt metadata: {exc}") from None
     arrays = list(_checkpoint_arrays(model, head))
     expected = {name for name, _ in arrays}
     stored = set(tensors)
     if expected != stored:
         missing = sorted(expected - stored)[:5]
         extra = sorted(stored - expected)[:5]
-        raise ValueError(
+        raise ContainerError(
             f"{path}: tensor names do not match the model "
             f"(missing {missing}, unexpected {extra})")
     for name, arr in arrays:
         value = tensors[name]
         if value.size != arr.size:
-            raise ValueError(
+            raise ContainerError(
                 f"{path}: tensor {name!r} holds {value.size} values, "
                 f"the model expects shape {arr.shape}")
         arr[...] = value.reshape(arr.shape)
@@ -422,7 +425,7 @@ def run_ablation(config: RunConfig, grid_text: str, log_fn=None) -> str:
             se_cfg = cell_cfg.se_config()
             f.write("\t".join([
                 label,
-                ",".join(map(str, sorted(se_cfg.stages))) if se_cfg.enabled else "-",
+                list_to_text(sorted(se_cfg.stages)) or "-",
                 str(se_cfg.reduction_factor),
                 str(se_cfg.hidden_layers),
                 se_cfg.integration,

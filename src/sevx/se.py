@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import list_from_text, list_to_text
 from .nn import Linear, population_std, rng_for
 from .tensor import ShapeError, Tensor, cat
 
@@ -79,34 +80,26 @@ class SEConfig:
         return sum(i * o + o for i, o in self.layer_dims(channels))
 
     def to_metadata(self) -> dict[str, str]:
-        return {
-            "se.pooling": self.pooling,
-            "se.reduction": str(self.reduction_factor),
-            "se.hidden_layers": str(self.hidden_layers),
-            "se.integration": self.integration,
-            "se.stages": ",".join(str(s) for s in sorted(self.stages)),
-        }
+        return {key: fmt(getattr(self, name)) for key, (name, _, fmt) in _METADATA.items()}
 
     @classmethod
     def from_metadata(cls, meta: dict[str, str]) -> "SEConfig":
         """Inverse of ``to_metadata``. A missing key takes the field default,
         except a missing ``se.stages``, which means SE off (not ``{1, 2}``)."""
-        parsers = {"se.pooling": ("pooling", str), "se.reduction": ("reduction_factor", int),
-                   "se.hidden_layers": ("hidden_layers", int),
-                   "se.integration": ("integration", str)}
-        kwargs = {name: parse(meta[key]) for key, (name, parse) in parsers.items() if key in meta}
-        return cls(stages=_parse_stages(meta.get("se.stages", "")), **kwargs)
+        kwargs = {name: parse(meta[key])
+                  for key, (name, parse, _) in _METADATA.items() if key in meta}
+        return cls(**{"stages": frozenset(), **kwargs})
 
 
-def _parse_stages(text: str) -> frozenset[int]:
-    """``"1,3"`` -> {1, 3}; blank text is no stages."""
-    if not text.strip():
-        return frozenset()
-    try:
-        return frozenset(int(s) for s in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"se.stages: expected a comma list of stage numbers, got {text!r}") from None
+# metadata key -> (SEConfig field, parser, formatter)
+_METADATA = {
+    "se.pooling": ("pooling", str, str),
+    "se.reduction": ("reduction_factor", int, str),
+    "se.hidden_layers": ("hidden_layers", int, str),
+    "se.integration": ("integration", str, str),
+    "se.stages": ("stages", lambda text: frozenset(list_from_text(text, int)),
+                  lambda stages: list_to_text(sorted(stages))),
+}
 
 
 def squeeze(x: Tensor, pooling: str) -> Tensor:

@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from sevx.checkpoint import (ContainerError, metadata_from_text, metadata_to_text,
-                             read_container, write_container)
+from sevx.checkpoint import (ContainerError, list_from_text, list_to_text, metadata_from_text,
+                             metadata_to_text, read_container, write_container)
 from sevx.config import RunConfig
 from sevx.model import AAMHead, ModelSpec, SGDOptimizer, build_model, extract_embedding, train_step
 from sevx.pipeline import load_checkpoint, save_checkpoint
@@ -64,6 +64,21 @@ class TestRoundTrip:
     def test_metadata_text_helpers(self):
         meta = {"a.b": "1", "c": "hello world"}
         assert metadata_from_text(metadata_to_text(meta)) == meta
+        assert metadata_from_text("# note\n\n a = 1 \n") == {"a": "1"}
+        with pytest.raises(ValueError, match="line 2: expected 'key = value'"):
+            metadata_from_text("a = 1\nno pair\n")
+
+    @pytest.mark.parametrize("text, parse, items", [
+        ("", int, ()), (" ", float, ()), ("3", int, (3,)), ("1, 2", int, (1, 2)),
+        ("0.5,0.75", float, (0.5, 0.75))])
+    def test_list_text_round_trip(self, text, parse, items):
+        assert list_from_text(text, parse) == items
+        assert list_from_text(list_to_text(items), parse) == items
+
+    @pytest.mark.parametrize("text", ["1,,2", "1,", ",1", "1,x", "1.5"])
+    def test_bad_list_item_rejected(self, text):
+        with pytest.raises(ValueError, match="expected a comma list of int values"):
+            list_from_text(text, int)
 
     def test_preserves_nonfinite_payloads_bitwise(self, tmp_path):
         path = str(tmp_path / "nf.sevx")
@@ -173,7 +188,7 @@ class TestLoadCheckpoint:
         name = "stage1.block0.bn1.running_var"
         tensors[name] = np.ones(tensors[name].size + 1, dtype=np.float32)
         write_container(path, meta, tensors.items())
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ContainerError, match=name):
             load_checkpoint(path)
 
     def test_unexpected_tensor_is_named(self, tmp_path):
@@ -187,5 +202,13 @@ class TestLoadCheckpoint:
         name = "stage1.block0.conv1.bias"
         tensors[name] = np.zeros(model.stages[0][0].conv1.out_channels, dtype=np.float32)
         write_container(path, meta, tensors.items())
-        with pytest.raises(ValueError, match=f"unexpected.*{name}"):
+        with pytest.raises(ContainerError, match=f"unexpected.*{name}"):
+            load_checkpoint(path)
+
+    def test_metadata_line_without_equals_is_rejected(self, tmp_path):
+        _model, path = self._trained_checkpoint(tmp_path)
+        meta, tensors = read_container(path)
+        write_container(path, meta + "stray line\n", tensors.items())
+        lineno = meta.count("\n") + 1
+        with pytest.raises(ContainerError, match=f"corrupt metadata: line {lineno}:"):
             load_checkpoint(path)

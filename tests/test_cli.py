@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from sevx.checkpoint import read_container, write_container
+from sevx.checkpoint import metadata_from_text, metadata_to_text, read_container, write_container
 from sevx.cli import main
+from sevx.config import RunConfig
+from sevx.model import AAMHead, ModelSpec, build_model
 from sevx.pipeline import (cell_label, grid_cells, parse_grid, generate_trials,
-                           load_corpus)
+                           load_corpus, save_checkpoint)
+from sevx.se import SEConfig
 from sevx.features import Utterance
 
 
@@ -89,6 +92,21 @@ class TestExitCodes:
         with open(bad, "wb") as f:
             f.write(b"JUNKJUNKJUNK")
         assert main(["score", "--config", cfg, "--checkpoint", bad]) == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("model.scale_factor", "abc"), ("seed", "x"), ("se.pooling", "median"),
+        ("head.margin", "9"), ("model.stage_blocks", "3,4"), ("head.scale", "nan")])
+    def test_undecodable_checkpoint_metadata_is_corrupt_artifact(self, tmp_path, capsys,
+                                                                  key, value):
+        path = str(tmp_path / "ckpt.sevx")
+        spec = ModelSpec(scale_factor=1 / 16, num_speakers=3)
+        save_checkpoint(path, build_model(spec, SEConfig(), seed=1),
+                        AAMHead(3, spec.embedding_dim, seed=1), RunConfig())
+        meta, tensors = read_container(path)
+        write_container(path, metadata_to_text({**metadata_from_text(meta), key: value}),
+                        tensors.items())
+        assert main(["extract", "--out", str(tmp_path / "out"), "--checkpoint", path]) == 3
+        assert f"corrupt artifact: {path}: corrupt metadata" in capsys.readouterr().err
 
 
 class TestMakeData:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sevx.checkpoint import metadata_to_text
 from sevx.config import SCHEMA, ConfigError, RunConfig, parse_config_text
 from sevx.model import ModelSpec
 from sevx.se import SEConfig
@@ -12,7 +13,6 @@ INVALID_VALUES = {
     "seed": ["x", "1.5"],
     "model.scale_factor": ["0", "-1", "nan", "inf", "x"],
     "model.embedding_dim": ["0", "-1", "0.5"],
-    "model.input_mel_bins": ["0", "-1"],
     "model.segment_frames": ["0", "-1"],
     "model.temporal_pooling": ["max", ""],
     "se.pooling": ["avg", ""],
@@ -25,7 +25,7 @@ INVALID_VALUES = {
     "optim.weight_decay": ["-1", "nan"],
     "optim.batch_size": ["0", "-1"],
     "optim.epochs": ["0"],
-    "optim.lr_decay_milestones": ["0", "1.5", "nan", "x"],
+    "optim.lr_decay_milestones": ["0", "1.5", "nan", "x", "0.5,,0.75", "0.5,"],
     "optim.lr_decay_factor": ["0", "nan"],
     "data.num_speakers": ["1", "0"],
     "data.utts_per_speaker": ["0"],
@@ -54,7 +54,6 @@ class TestParsing:
         assert cfg["data.utts_per_speaker"] == 50
         assert cfg["data.frames_per_utt"] == 400
         assert cfg["data.chunk_frames"] == 400
-        assert cfg["model.input_mel_bins"] == 60
         assert cfg["model.segment_frames"] == 400
         assert cfg["model.embedding_dim"] == 256
 
@@ -65,6 +64,11 @@ class TestParsing:
     def test_unknown_key_fatal(self):
         with pytest.raises(ConfigError, match="unknown config keys: se.poolings"):
             RunConfig({"se.poolings": "mean"})
+
+    def test_input_mel_bins_is_not_a_config_key(self):
+        # the front end always emits features.N_MELS bins
+        with pytest.raises(ConfigError, match="unknown config keys: model.input_mel_bins"):
+            RunConfig({"model.input_mel_bins": "60"})
 
     def test_bad_value_type(self):
         with pytest.raises(ConfigError, match="optim.lr"):
@@ -147,6 +151,25 @@ class TestSpecMetadata:
                          segment_frames=96, embedding_dim=32, num_speakers=5,
                          scale_factor=0.3, temporal_pooling="mean_std")
         assert ModelSpec.from_metadata(spec.to_metadata()) == spec
+
+    def test_default_metadata_text(self):
+        text = metadata_to_text({**ModelSpec().to_metadata(), **SEConfig().to_metadata()})
+        assert text == (
+            "model.stage_blocks = 3,4,6,3\n"
+            "model.stage_channels = 128,128,256,256\n"
+            "model.stage_strides = 1,2,2,2\n"
+            "model.stem_channels = 128\n"
+            "model.input_mel_bins = 60\n"
+            "model.segment_frames = 400\n"
+            "model.embedding_dim = 256\n"
+            "model.num_speakers = 20\n"
+            "model.scale_factor = 1.0\n"
+            "model.temporal_pooling = mean\n"
+            "se.pooling = mean_std\n"
+            "se.reduction = 4\n"
+            "se.hidden_layers = 2\n"
+            "se.integration = standard\n"
+            "se.stages = 1,2\n")
 
     def test_model_spec_missing_keys_take_defaults(self):
         assert ModelSpec.from_metadata({}) == ModelSpec()
