@@ -30,8 +30,10 @@ def metadata_to_text(meta: dict[str, str]) -> str:
 
 def metadata_from_text(text: str) -> dict[str, str]:
     """Inverse of ``metadata_to_text``; blank lines and ``#`` comments are
-    skipped, and any other line without ``=`` raises ``ValueError``."""
+    skipped, and any other line without ``=``, or a key set twice, raises
+    ``ValueError``."""
     meta: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -39,8 +41,20 @@ def metadata_from_text(text: str) -> dict[str, str]:
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        meta[key.strip()] = value.strip()
+        key = key.strip()
+        if key in key_lines:
+            raise ValueError(f"lines {key_lines[key]} and {lineno}: key {key!r} set twice")
+        key_lines[key] = lineno
+        meta[key] = value.strip()
     return meta
+
+
+def value_from_text(key: str, text: str, parse):
+    """``parse(text)``; a ``ValueError`` is re-raised with ``key`` in front."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def list_to_text(items) -> str:

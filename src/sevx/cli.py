@@ -148,8 +148,7 @@ def cmd_analyze(args, config: RunConfig) -> int:
     model, _head, _meta = load_checkpoint(ckpt)
     utts = load_corpus(corpus_dir(config))
     records = analysis_mod.capture_excitations(
-        model, ((u.utterance_id, u.speaker_id, u.features) for u in utts),
-        all_blocks=args.all_blocks)
+        model, ((u.utterance_id, u.speaker_id, u.features) for u in utts))
     profiles, dispersion = analysis_mod.across_speaker_profile(records)
     out_dir = os.path.join(config.out_dir, "analysis")
     os.makedirs(out_dir, exist_ok=True)
@@ -167,8 +166,9 @@ def cmd_analyze(args, config: RunConfig) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seeds = tuple(range(args.seeds))
-    results = run_suite(seeds=seeds)
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    results = run_suite(seeds=tuple(range(args.seeds)))
     failures = 0
     for r in results:
         _print(r.line())
@@ -210,12 +210,13 @@ def build_parser() -> _Parser:
     p = add("metrics", cmd_metrics, help="EER / minDCF from score + trial files")
     p.add_argument("--scores")
     p.add_argument("--trials")
-    p = add("analyze", cmd_analyze, help="excitation-distribution analysis")
+    p = add("analyze", cmd_analyze,
+            help="excitation-distribution analysis of the last SE unit of each stage")
     p.add_argument("--checkpoint")
-    p.add_argument("--all-blocks", action="store_true",
-                   help="probe every SE block, not just the last per stage")
-    p = add("gradcheck", cmd_gradcheck, help="finite-difference gradient suite")
-    p.add_argument("--seeds", type=int, default=5)
+    # no abbreviations here: --seed must not silently mean --seeds
+    p = sub.add_parser("gradcheck", allow_abbrev=False, help="finite-difference gradient suite")
+    p.add_argument("--seeds", type=int, default=5, help="number of seeds, >= 1")
+    p.set_defaults(fn=cmd_gradcheck)
 
     return parser
 

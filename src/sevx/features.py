@@ -66,10 +66,6 @@ def _mel_edges_hz() -> np.ndarray:
     return mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
 
 
-def mel_center_frequencies() -> np.ndarray:
-    return _mel_edges_hz()[1:-1]
-
-
 def mel_filterbank() -> np.ndarray:
     """Triangular mel filters, (N_MELS, N_FFT//2 + 1)."""
     hz_pts = _mel_edges_hz()

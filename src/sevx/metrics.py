@@ -1,4 +1,4 @@
-"""Trial scoring and detection metrics: cosine similarity, EER, and minDCF.
+"""Trial scoring and detection metrics: unit-norm rows for cosines, EER, and minDCF.
 
 Conventions, fixed for reproducibility: a trial is accepted when its score is
 >= the threshold (ties accept); FRR(t) = P(target < t) and FAR(t) =
@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import NumericError
 
 TARGET = "target"
 NONTARGET = "nontarget"
@@ -48,12 +50,12 @@ class ScoreSet:
     A non-finite score is rejected: it would sort past every threshold."""
 
     def __init__(self, trials_scores):
-        self.items: list[tuple[Trial, float]] = list(trials_scores)
-        for t, score in self.items:
+        items = list(trials_scores)
+        for t, score in items:
             if not np.isfinite(score):
                 raise ValueError(f"non-finite score {score} for trial {t.enroll_id} {t.test_id}")
-        tar = [s for t, s in self.items if t.label == TARGET]
-        non = [s for t, s in self.items if t.label == NONTARGET]
+        tar = [s for t, s in items if t.label == TARGET]
+        non = [s for t, s in items if t.label == NONTARGET]
         self.target_scores = np.asarray(tar, dtype=np.float64)
         self.nontarget_scores = np.asarray(non, dtype=np.float64)
 
@@ -64,14 +66,15 @@ class ScoreSet:
                 f"{len(self.nontarget_scores)} nontarget trials")
 
 
-def cosine_score(e1: np.ndarray, e2: np.ndarray) -> float:
-    e1 = np.asarray(e1, dtype=np.float64).reshape(-1)
-    e2 = np.asarray(e2, dtype=np.float64).reshape(-1)
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("cosine_score: zero-norm embedding")
-    return float(np.dot(e1, e2) / (n1 * n2))
+def unit_rows(rows) -> np.ndarray:
+    """The rows of ``rows`` (n, d) as float64, each scaled to unit L2 norm, so
+    a row-wise dot of two of them is their cosine. A zero row raises
+    ``NumericError``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise NumericError(f"zero-norm row {int(np.argmax(norms == 0.0))} has no direction")
+    return rows / norms
 
 
 def _operating_points(tar: np.ndarray, non: np.ndarray):

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from .checkpoint import list_from_text, list_to_text
+from .checkpoint import list_from_text, list_to_text, value_from_text
 from .nn import BatchNorm2d, Conv2d, Linear, rng_for, temporal_stats_pool
 from .se import SEConfig, SEUnit, se_apply
 from .tensor import NumericError, ShapeError, Tensor, no_grad
@@ -38,15 +39,17 @@ class ModelSpec:
     temporal_pooling: str = "mean"
 
     def __post_init__(self):
-        if not (len(self.stage_blocks) == len(self.stage_channels) == len(self.stage_strides) == 4):
-            raise ValueError("stage arrays must all have length 4")
+        for name in ("stage_blocks", "stage_channels", "stage_strides"):
+            if len(getattr(self, name)) != 4:
+                raise ValueError(f"model.{name} must have 4 entries, got {getattr(self, name)!r}")
         for name in ("scale_factor", "input_mel_bins", "segment_frames", "embedding_dim"):
             if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+                raise ValueError(
+                    f"model.{name} must be positive and finite, got {getattr(self, name)!r}")
         if not self.num_speakers >= 2:
             raise ValueError("num_speakers must be >= 2")
         if self.temporal_pooling not in ("mean", "mean_std"):
-            raise ValueError("temporal_pooling must be 'mean' or 'mean_std'")
+            raise ValueError("model.temporal_pooling must be 'mean' or 'mean_std'")
 
     def scaled(self, channels: int) -> int:
         return max(1, int(round(channels * self.scale_factor)))
@@ -72,11 +75,11 @@ class ModelSpec:
         whose type also picks the parser."""
         kwargs = {}
         for f in fields(cls):
-            text = meta.get(f"model.{f.name}")
-            if text is None:
-                continue
-            kwargs[f.name] = (list_from_text(text, int)
-                              if isinstance(f.default, tuple) else type(f.default)(text))
+            key = f"model.{f.name}"
+            if key in meta:
+                parse = (partial(list_from_text, parse=int)
+                         if isinstance(f.default, tuple) else type(f.default))
+                kwargs[f.name] = value_from_text(key, meta[key], parse)
         return cls(**kwargs)
 
 
@@ -274,9 +277,9 @@ class AAMHead:
                  margin: float = 0.4, rng: np.random.Generator | None = None,
                  seed: int = 1234, dtype=np.float32):
         if not (0 <= margin < math.pi / 2):
-            raise ValueError("margin must be in [0, pi/2)")
+            raise ValueError(f"head.margin must be in [0, pi/2), got {margin!r}")
         if not scale > 0:
-            raise ValueError("scale must be positive")
+            raise ValueError(f"head.scale must be positive, got {scale!r}")
         self.num_speakers = num_speakers
         self.scale = scale
         self.margin = margin
@@ -347,15 +350,6 @@ def aam_loss(embeddings: Tensor, labels, head: AAMHead) -> Tensor:
     logits = (phi * mask + cos * (1.0 - mask)) * head.scale
     logp = logits.log_softmax(axis=1)
     return -(logp * mask).sum() / float(b)
-
-
-def cosine_logits(embeddings: Tensor, head: AAMHead) -> np.ndarray:
-    """Margin-free cosine similarities to every class row, for accuracy
-    reporting."""
-    with no_grad():
-        emb_n = _rows_normalized(embeddings, "cosine_logits embeddings")
-        w_n = _rows_normalized(head.class_weights, "cosine_logits class weights")
-        return (emb_n @ w_n.transpose()).data
 
 
 # ---- optimizer --------------------------------------------------------------

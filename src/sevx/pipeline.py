@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import (ContainerError, list_to_text, metadata_from_text, metadata_to_text,
-                         read_container, write_container)
+                         read_container, value_from_text, write_container)
 from .config import ConfigError, RunConfig
 from .features import Utterance, chunk, featurize_wav, generate_synthetic_corpus
-from .metrics import (DCFParams, ScoreSet, Trial, cosine_score, metrics_report,
-                      read_trials, write_metrics_report, write_scores, write_trials)
+from .metrics import (DCFParams, ScoreSet, Trial, metrics_report, read_trials, unit_rows,
+                      write_metrics_report, write_scores, write_trials)
 from .model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, build_model,
-                    cosine_logits, extract_embedding, se_census, train_step)
+                    extract_embedding, se_census, train_step)
 from .nn import rng_for
 from .se import SEConfig
 from .tensor import Tensor
@@ -176,8 +176,8 @@ def train_accuracy(model: SpeakerEmbedder, head: AAMHead, x: np.ndarray,
     cosine, is their label ``y``. Each chunk is embedded on its own by
     ``extract_embedding``, the eval forward that scoring uses."""
     emb = np.stack([extract_embedding(model, Tensor(c[None])) for c in x])
-    logits = cosine_logits(Tensor(emb), head)
-    return int((logits.argmax(axis=1) == y).sum()) / len(x)
+    cosines = unit_rows(emb) @ unit_rows(head.class_weights.data).T
+    return int((cosines.argmax(axis=1) == y).sum()) / len(x)
 
 
 def run_training(config: RunConfig, utts, run_dir: str,
@@ -268,11 +268,12 @@ def load_checkpoint(path: str) -> tuple[SpeakerEmbedder, AAMHead, dict[str, str]
     try:
         meta = metadata_from_text(meta_text)
         spec = ModelSpec.from_metadata(meta)
-        seed = int(meta.get("seed", "0"))
+        seed = value_from_text("seed", meta.get("seed", "0"), int)
         model = build_model(spec, SEConfig.from_metadata(meta), seed=seed)
-        head = AAMHead(spec.num_speakers, spec.embedding_dim,
-                       scale=float(meta.get("head.scale", "30.0")),
-                       margin=float(meta.get("head.margin", "0.4")), seed=seed)
+        head = AAMHead(
+            spec.num_speakers, spec.embedding_dim, seed=seed,
+            scale=value_from_text("head.scale", meta.get("head.scale", "30.0"), float),
+            margin=value_from_text("head.margin", meta.get("head.margin", "0.4"), float))
     except ValueError as exc:
         raise ContainerError(f"{path}: corrupt metadata: {exc}") from None
     arrays = list(_checkpoint_arrays(model, head))
@@ -306,14 +307,19 @@ def extract_embeddings(model: SpeakerEmbedder, utts) -> dict[str, np.ndarray]:
 
 
 def score_trials(embeddings: dict[str, np.ndarray], trials) -> list[tuple[str, str, float]]:
-    rows = []
-    for t in trials:
-        for utt in (t.enroll_id, t.test_id):
-            if utt not in embeddings:
-                raise MissingArtifactError(f"no embedding for utterance {utt!r}")
-        rows.append((t.enroll_id, t.test_id,
-                     cosine_score(embeddings[t.enroll_id], embeddings[t.test_id])))
-    return rows
+    """(enroll, test, cosine) per trial: every embedding a trial names is
+    normalised once, then each trial is one row-wise dot."""
+    ids = list(dict.fromkeys(u for t in trials for u in (t.enroll_id, t.test_id)))
+    for utt in ids:
+        if utt not in embeddings:
+            raise MissingArtifactError(f"no embedding for utterance {utt!r}")
+    if not ids:
+        return []
+    unit = dict(zip(ids, unit_rows([embeddings[u] for u in ids])))
+    enroll = np.stack([unit[t.enroll_id] for t in trials])
+    test = np.stack([unit[t.test_id] for t in trials])
+    scores = (enroll * test).sum(axis=1)
+    return [(t.enroll_id, t.test_id, float(s)) for t, s in zip(trials, scores)]
 
 
 def evaluate_checkpoint(ckpt_path: str, utts, trials, dcf: DCFParams,

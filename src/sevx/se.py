@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import list_from_text, list_to_text
+from .checkpoint import list_from_text, list_to_text, value_from_text
 from .nn import Linear, population_std, rng_for
 from .tensor import ShapeError, Tensor, cat
 
@@ -42,17 +42,17 @@ class SEConfig:
 
     def __post_init__(self):
         if self.pooling not in POOLINGS:
-            raise ValueError(f"unknown SE pooling {self.pooling!r}, expected one of {POOLINGS}")
+            raise ValueError(f"se.pooling must be one of {POOLINGS}, got {self.pooling!r}")
         if self.integration not in INTEGRATIONS:
             raise ValueError(
-                f"unknown SE integration {self.integration!r}, expected one of {INTEGRATIONS}")
+                f"se.integration must be one of {INTEGRATIONS}, got {self.integration!r}")
         if not self.reduction_factor >= 1:
-            raise ValueError(f"reduction factor must be >= 1, got {self.reduction_factor!r}")
+            raise ValueError(f"se.reduction must be >= 1, got {self.reduction_factor!r}")
         if not self.hidden_layers >= 1:
-            raise ValueError(f"hidden layer count must be >= 1, got {self.hidden_layers!r}")
+            raise ValueError(f"se.hidden_layers must be >= 1, got {self.hidden_layers!r}")
         stages = frozenset(int(s) for s in self.stages)
         if not stages <= {1, 2, 3, 4}:
-            raise ValueError(f"SE stages must be a subset of {{1,2,3,4}}, got {sorted(stages)}")
+            raise ValueError(f"se.stages must be a subset of {{1,2,3,4}}, got {sorted(stages)}")
         object.__setattr__(self, "stages", stages)
 
     @property
@@ -86,7 +86,7 @@ class SEConfig:
     def from_metadata(cls, meta: dict[str, str]) -> "SEConfig":
         """Inverse of ``to_metadata``. A missing key takes the field default,
         except a missing ``se.stages``, which means SE off (not ``{1, 2}``)."""
-        kwargs = {name: parse(meta[key])
+        kwargs = {name: value_from_text(key, meta[key], parse)
                   for key, (name, parse, _) in _METADATA.items() if key in meta}
         return cls(**{"stages": frozenset(), **kwargs})
 

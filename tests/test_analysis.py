@@ -5,8 +5,8 @@ import pytest
 
 from sevx.analysis import (ExcitationRecord, across_speaker_profile, capture_excitations,
                            profiles_to_tensors, profiles_to_tsv, render_report)
-from sevx.model import ModelSpec, build_model
-from sevx.se import SEConfig
+from sevx.model import ModelSpec, build_model, extract_embedding
+from sevx.se import SEConfig, record_excitations
 from sevx.tensor import ShapeError, Tensor
 
 
@@ -58,11 +58,26 @@ class TestCapture:
             capture_excitations(model, [utt("a", "s0", 1)])
 
     def test_last_block_probed_by_default(self):
-        model = small_model({1})
+        model = small_model({1, 2})
+        _, _, feats = utt("a", "s0", 1)
+        sink = []
+        with record_excitations(sink):
+            extract_embedding(model, Tensor(feats[None, None]))
+        gates = dict(sink)
         records = capture_excitations(model, [utt("a", "s0", 1)])
-        assert records[0].block_index == SPEC.stage_blocks[0] - 1
-        all_records = capture_excitations(model, [utt("a", "s0", 1)], all_blocks=True)
-        assert len(all_records) == SPEC.stage_blocks[0]
+        assert [r.stage for r in records] == [1, 2]
+        for r in records:
+            last = model.stages[r.stage - 1][-1].se.name
+            assert np.array_equal(r.channel_weights, gates[last].reshape(-1))
+
+    def test_one_segment_per_utterance_per_stage(self):
+        # every SE block of a stage has the same width, so pooling blocks
+        # would go unnoticed in the shapes; only the segment counts show it
+        model = small_model({1, 2})
+        utts = [utt(f"u{i}", f"s{i % 2}", i) for i in range(4)]
+        profiles, _ = across_speaker_profile(capture_excitations(model, utts))
+        for stage in (1, 2):
+            assert profiles[stage].segments == (2, 2)
 
     def test_utterance_under_eight_frames_rejected(self):
         model = small_model({1})
@@ -78,7 +93,11 @@ class TestCapture:
 
 
 def rec(stage, spk, uid, weights):
-    return ExcitationRecord(stage, 0, uid, spk, np.asarray(weights, dtype=np.float64))
+    return ExcitationRecord(stage, uid, spk, np.asarray(weights, dtype=np.float64))
+
+
+def row(profile, spk):
+    return profile.speakers.index(spk)
 
 
 class TestAcrossSpeaker:
@@ -93,7 +112,10 @@ class TestAcrossSpeaker:
             for u in range(3):
                 records.append(rec(2, f"s{i}", f"u{i}_{u}", np.random.default_rng(i * 10 + u).uniform(0.2, 0.8, 4)))
         profiles, _ = across_speaker_profile(records)
-        assert len(profiles[2]) == 7
+        p = profiles[2]
+        assert p.speakers == tuple(f"s{i}" for i in range(7))
+        assert p.mean.shape == p.std.shape == (7, 4)
+        assert p.segments == (3,) * 7
 
     def test_aggregation_matches_bruteforce(self):
         rng = np.random.default_rng(0)
@@ -101,8 +123,8 @@ class TestAcrossSpeaker:
         profiles, dispersion = across_speaker_profile(records)
         for spk in ("s0", "s1", "s2"):
             manual = np.mean([r.channel_weights for r in records if r.speaker_id == spk], axis=0)
-            np.testing.assert_allclose(profiles[1][spk].mean_activation, manual, atol=1e-7)
-        means = np.stack([profiles[1][s].mean_activation for s in ("s0", "s1", "s2")])
+            np.testing.assert_allclose(profiles[1].mean[row(profiles[1], spk)], manual, atol=1e-7)
+        means = np.stack([profiles[1].mean[row(profiles[1], s)] for s in ("s0", "s1", "s2")])
         np.testing.assert_allclose(dispersion[1], means.std(axis=0).mean(), atol=1e-7)
 
     def test_record_order_invariance(self):
@@ -112,9 +134,8 @@ class TestAcrossSpeaker:
         p2, d2 = across_speaker_profile(list(reversed(records)))
         # reduction order differs, so equality is up to float summation error
         assert d1[1] == pytest.approx(d2[1], abs=1e-12)
-        for spk in p1[1]:
-            np.testing.assert_allclose(p1[1][spk].mean_activation,
-                                       p2[1][spk].mean_activation, atol=1e-12)
+        assert p1[1].speakers == p2[1].speakers
+        np.testing.assert_allclose(p1[1].mean, p2[1].mean, atol=1e-12)
 
     def test_single_speaker_rejected(self):
         with pytest.raises(ValueError, match="2 speakers"):
@@ -128,7 +149,7 @@ class TestAcrossSpeaker:
 
 
 class TestWithinSpeaker:
-    """Each speaker's std_activation is its spread over segments; a second
+    """Each speaker's std row is its spread over segments; a second
     speaker with other weights must not leak into it."""
 
     @staticmethod
@@ -140,14 +161,14 @@ class TestWithinSpeaker:
     def test_identical_segments_zero_std(self):
         records = [rec(1, "s0", f"u{i}", [0.3, 0.7]) for i in range(4)]
         profiles, _ = across_speaker_profile(self._with_other_speaker(records, 1))
-        np.testing.assert_array_equal(profiles[1]["s0"].std_activation, [0.0, 0.0])
+        np.testing.assert_array_equal(profiles[1].std[row(profiles[1], "s0")], [0.0, 0.0])
 
     def test_two_point_population_std(self):
         w1 = np.array([0.2, 0.9])
         w2 = np.array([0.6, 0.5])
         records = [rec(3, "s0", "u0", w1), rec(3, "s0", "u1", w2)]
         profiles, _ = across_speaker_profile(self._with_other_speaker(records, 3))
-        np.testing.assert_allclose(profiles[3]["s0"].std_activation, np.abs(w1 - w2) / 2,
+        np.testing.assert_allclose(profiles[3].std[row(profiles[3], "s0")], np.abs(w1 - w2) / 2,
                                    atol=1e-12)
 
     def test_summary_scalar_is_channel_mean_of_std(self):
@@ -155,7 +176,8 @@ class TestWithinSpeaker:
         records = [rec(2, "s0", f"u{i}", rng.uniform(0.1, 0.9, 5)) for i in range(6)]
         profiles, _ = across_speaker_profile(self._with_other_speaker(records, 2))
         stack = np.stack([r.channel_weights for r in records])
-        assert profiles[2]["s0"].std_activation.mean() == pytest.approx(stack.std(axis=0).mean())
+        assert profiles[2].std[row(profiles[2], "s0")].mean() == pytest.approx(
+            stack.std(axis=0).mean())
 
 
 class TestReporting:

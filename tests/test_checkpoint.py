@@ -67,6 +67,8 @@ class TestRoundTrip:
         assert metadata_from_text("# note\n\n a = 1 \n") == {"a": "1"}
         with pytest.raises(ValueError, match="line 2: expected 'key = value'"):
             metadata_from_text("a = 1\nno pair\n")
+        with pytest.raises(ValueError, match="lines 2 and 4: key 'a' set twice"):
+            metadata_from_text("# note\na = 1\nb = 2\n a= 3\n")
 
     @pytest.mark.parametrize("text, parse, items", [
         ("", int, ()), (" ", float, ()), ("3", int, (3,)), ("1, 2", int, (1, 2)),
@@ -211,4 +213,14 @@ class TestLoadCheckpoint:
         write_container(path, meta + "stray line\n", tensors.items())
         lineno = meta.count("\n") + 1
         with pytest.raises(ContainerError, match=f"corrupt metadata: line {lineno}:"):
+            load_checkpoint(path)
+
+    def test_metadata_with_a_repeated_key_is_rejected(self, tmp_path):
+        _model, path = self._trained_checkpoint(tmp_path)
+        meta, tensors = read_container(path)
+        write_container(path, meta + "seed = 6\n", tensors.items())
+        first = meta.splitlines().index("seed = 5") + 1
+        lineno = meta.count("\n") + 1
+        with pytest.raises(ContainerError,
+                           match=f"corrupt metadata: lines {first} and {lineno}: key 'seed'"):
             load_checkpoint(path)

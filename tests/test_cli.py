@@ -74,8 +74,12 @@ class TestExitCodes:
         assert "error: out of memory: Unable to allocate 11.0 GiB" in capsys.readouterr().err
 
     def test_sequential_without_threadpoolctl_warns(self, monkeypatch, capsys):
+        from sevx.gradcheck import GradCheckResult
+
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
-        assert main(["--sequential", "gradcheck", "--seeds", "0"]) == 0
+        monkeypatch.setattr("sevx.cli.run_suite",
+                            lambda seeds: [GradCheckResult("conv2d", 0, True, 0.0, 0.0)])
+        assert main(["--sequential", "gradcheck", "--seeds", "1"]) == 0
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
         assert "OPENBLAS_NUM_THREADS=1" in err
@@ -95,7 +99,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         ("model.scale_factor", "abc"), ("seed", "x"), ("se.pooling", "median"),
-        ("head.margin", "9"), ("model.stage_blocks", "3,4"), ("head.scale", "nan")])
+        ("head.margin", "9"), ("model.stage_blocks", "3,4"), ("head.scale", "nan"),
+        ("se.reduction", "x"), ("se.stages", "1,x"), ("head.scale", "big")])
     def test_undecodable_checkpoint_metadata_is_corrupt_artifact(self, tmp_path, capsys,
                                                                   key, value):
         path = str(tmp_path / "ckpt.sevx")
@@ -106,7 +111,28 @@ class TestExitCodes:
         write_container(path, metadata_to_text({**metadata_from_text(meta), key: value}),
                         tensors.items())
         assert main(["extract", "--out", str(tmp_path / "out"), "--checkpoint", path]) == 3
-        assert f"corrupt artifact: {path}: corrupt metadata" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"corrupt artifact: {path}: corrupt metadata: {key}" in err
+
+    def test_repeated_checkpoint_metadata_key_is_corrupt_artifact(self, tmp_path, capsys):
+        path = str(tmp_path / "ckpt.sevx")
+        spec = ModelSpec(scale_factor=1 / 16, num_speakers=3)
+        save_checkpoint(path, build_model(spec, SEConfig(), seed=1),
+                        AAMHead(3, spec.embedding_dim, seed=1), RunConfig())
+        meta, tensors = read_container(path)
+        write_container(path, meta + "se.reduction = 8\n", tensors.items())
+        assert main(["extract", "--out", str(tmp_path / "out"), "--checkpoint", path]) == 3
+        assert "key 'se.reduction' set twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\nse.stages = 1,2\nseed = 2\n", "lines 1 and 3: key 'seed' set twice"),
+        ("se.stages = 1,x\n", "se.stages: expected a comma list of int values, got '1,x'"),
+        ("se.reduction = x\n", "se.reduction: cannot parse 'x'"),
+        ("se.pooling = median\n", "se.pooling must be one of")])
+    def test_bad_config_line_names_its_key(self, tmp_path, capsys, text, message):
+        cfg = write_cfg(tmp_path, text + f"out = {tmp_path}/o\n")
+        assert main(["make-data", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestMakeData:
@@ -241,6 +267,17 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "aam_loss" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--seeds", "0"], ["--seeds", "-2"], ["--config", "/nonexistent.cfg"],
+        ["--out", "o"], ["--seed", "3"]])
+    def test_zero_seeds_and_config_flags_are_usage_errors(self, monkeypatch, capsys, argv):
+        def never(seeds):
+            raise AssertionError("the suite must not run")
+
+        monkeypatch.setattr("sevx.cli.run_suite", never)
+        assert main(["gradcheck"] + argv) == 1
+        assert "usage error:" in capsys.readouterr().err
 
     def test_failure_exits_with_numeric_code(self, monkeypatch, capsys):
         from sevx.gradcheck import GradCheckResult

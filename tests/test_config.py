@@ -99,6 +99,18 @@ class TestParsing:
         with pytest.raises(ConfigError):
             RunConfig({"se.stages": "1,9"})
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="lines 1 and 3: key 'seed' set twice"):
+            parse_config_text("seed = 1\nse.stages = 1,2\nseed = 2\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("se.stages", "1,x"), ("se.stages", "1,,2"), ("se.stages", "1,9"), ("se.pooling", "median"),
+        ("se.integration", "diagonal"), ("se.reduction", "0"), ("se.hidden_layers", "0"),
+        ("model.scale_factor", "-1"), ("model.temporal_pooling", "max"), ("optim.lr", "fast")])
+    def test_error_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^(invalid config: )?{key}[: ]"):
+            RunConfig({key: value})
+
     def test_render_roundtrip(self):
         cfg = RunConfig({"seed": "42", "se.stages": "1,2,3"})
         again = RunConfig(parse_config_text(cfg.render()))
@@ -183,6 +195,20 @@ class TestSpecMetadata:
     ])
     def test_se_config_round_trip(self, se):
         assert SEConfig.from_metadata(se.to_metadata()) == se
+
+    @pytest.mark.parametrize("key, value", [
+        ("model.scale_factor", "abc"), ("model.stage_blocks", "3,x"),
+        ("model.stage_blocks", "3,4"), ("model.embedding_dim", "1.5")])
+    def test_model_spec_error_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}[: ]"):
+            ModelSpec.from_metadata({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("se.reduction", "x"), ("se.hidden_layers", "2.0"), ("se.stages", "1,x"),
+        ("se.stages", "5"), ("se.pooling", "median")])
+    def test_se_config_error_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key}[: ]"):
+            SEConfig.from_metadata({key: value})
 
     def test_se_metadata_without_stages_is_se_off(self):
         assert not SEConfig.from_metadata({}).enabled

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevx.features import (AudioFormatError, SynthSpec, apply_vad, chunk,
-                           energy_vad, frame_signal, generate_synthetic_corpus, logmel,
-                           mel_center_frequencies, read_wav, write_wav, NoSpeechError,
-                           LOG_FLOOR, SAMPLE_RATE)
+                           energy_vad, frame_signal, generate_synthetic_corpus, hz_to_mel,
+                           logmel, mel_to_hz, read_wav, write_wav, NoSpeechError,
+                           LOG_FLOOR, MEL_FMAX, MEL_FMIN, N_MELS, SAMPLE_RATE)
 
 
 def tone(freq, seconds, amp=0.5):
@@ -31,7 +31,9 @@ class TestLogmel:
 
     def test_sine_peaks_at_nearest_mel_bin(self):
         feats = logmel(tone(1000.0, 1.0))
-        centers = mel_center_frequencies()
+        # filter centers: the inner N_MELS of N_MELS + 2 mel-spaced edges
+        edges = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
+        centers = edges[1:-1]
         expected_bin = int(np.argmin(np.abs(centers - 1000.0)))
         observed = int(np.argmax(feats.mean(axis=1)))
         assert observed == expected_bin

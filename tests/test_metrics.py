@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevx.metrics import (DCFParams, ScoreSet, Trial, cosine_score, eer, eer_from_arrays,
-                          metrics_report, min_dcf, min_dcf_from_arrays, read_scores,
-                          read_trials, score_set_from_files, write_scores, write_trials)
+from sevx.metrics import (DCFParams, ScoreSet, Trial, eer, eer_from_arrays, metrics_report,
+                          min_dcf, min_dcf_from_arrays, read_scores, read_trials,
+                          score_set_from_files, unit_rows, write_scores, write_trials)
+from sevx.pipeline import MissingArtifactError, score_trials
+from sevx.tensor import NumericError
 
 
 # ---- independent oracle: enumerate every threshold, recount from scratch ----
@@ -55,25 +57,64 @@ def make_scoreset(tar, non):
     return ScoreSet(items)
 
 
+def cosine(a, b):
+    u = unit_rows([a, b])
+    return float(u[0] @ u[1])
+
+
 class TestCosine:
     def test_self_similarity(self):
         e = np.random.default_rng(0).normal(size=256)
-        assert cosine_score(e, e) == pytest.approx(1.0)
+        assert cosine(e, e) == pytest.approx(1.0)
 
     def test_antipodal(self):
         e = np.random.default_rng(1).normal(size=256)
-        assert cosine_score(e, -e) == pytest.approx(-1.0)
+        assert cosine(e, -e) == pytest.approx(-1.0)
 
     def test_45_degrees(self):
         a = np.zeros(256)
         b = np.zeros(256)
         a[0] = 1.0
         b[0] = b[1] = 1.0
-        assert cosine_score(a, b) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+        assert cosine(a, b) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine_score(np.zeros(4), np.ones(4))
+        with pytest.raises(NumericError, match="zero-norm row 0"):
+            unit_rows([np.zeros(4), np.ones(4)])
+
+    def test_rows_are_float64_unit_norm(self):
+        rows = unit_rows(np.random.default_rng(2).normal(size=(5, 16)).astype(np.float32))
+        assert rows.dtype == np.float64
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=1e-15)
+
+
+class TestScoreTrials:
+    def _embeddings(self, n=6, dim=256):
+        rng = np.random.default_rng(3)
+        return {f"u{i}": rng.normal(size=dim).astype(np.float32) for i in range(n)}
+
+    def test_scores_match_the_per_pair_float64_cosine(self):
+        emb = self._embeddings()
+        trials = [Trial(f"u{i}", f"u{j}", "target" if i == j else "nontarget")
+                  for i in range(6) for j in range(6)]
+        rows = score_trials(emb, trials)
+        assert [(e, t) for e, t, _ in rows] == [(t.enroll_id, t.test_id) for t in trials]
+        for e, t, score in rows:
+            a, b = emb[e].astype(np.float64), emb[t].astype(np.float64)
+            want = (a / np.sqrt(a @ a)) @ (b / np.sqrt(b @ b))
+            assert abs(score - want) <= 16 * np.finfo(np.float64).eps
+
+    def test_missing_embedding_is_missing_artifact(self):
+        with pytest.raises(MissingArtifactError, match="'u9'"):
+            score_trials(self._embeddings(), [Trial("u0", "u9", "target")])
+
+    def test_zero_norm_embedding_is_numeric_failure(self):
+        emb = {**self._embeddings(), "u0": np.zeros(256, dtype=np.float32)}
+        with pytest.raises(NumericError, match="zero-norm"):
+            score_trials(emb, [Trial("u1", "u0", "target")])
+
+    def test_no_trials_no_scores(self):
+        assert score_trials(self._embeddings(), []) == []
 
 
 class TestEer:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sevx.model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, aam_loss,
-                        build_model, cosine_logits, extract_embedding, se_census,
-                        train_step)
+                        build_model, extract_embedding, se_census, train_step)
+from sevx.pipeline import train_accuracy
 from sevx.se import INTEGRATIONS, SEConfig
 from sevx.tensor import NumericError, ShapeError, Tensor
 
@@ -274,8 +274,11 @@ class TestExtraction:
         assert np.array_equal(e1, e2)
 
 
-def test_cosine_logits_predicts_matching_class():
-    head = AAMHead(3, 4, rng=rng_of(7))
-    emb = Tensor(head.class_weights.data.copy())
-    logits = cosine_logits(emb, head)
-    assert list(logits.argmax(axis=1)) == [0, 1, 2]
+def test_train_accuracy_picks_the_closest_class_row():
+    spec = ModelSpec(scale_factor=1 / 16, num_speakers=3)
+    model = build_model(spec, SEConfig(), seed=0)
+    x = rng_of(7).normal(size=(3, 1, 60, 16)).astype(np.float32)
+    head = AAMHead(3, spec.embedding_dim, rng=rng_of(7))
+    head.class_weights.data[...] = np.stack([extract_embedding(model, Tensor(c[None])) for c in x])
+    assert train_accuracy(model, head, x, np.array([0, 1, 2])) == 1.0
+    assert train_accuracy(model, head, x, np.array([1, 2, 0])) == 0.0
