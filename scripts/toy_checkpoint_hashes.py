@@ -6,23 +6,29 @@ float32 ``extract_embedding`` outputs of the trained model on a few fixed
 inputs.
 
 A refactor that does not touch the math must leave every line unchanged.
-The hashes are bit-exact only with BLAS on one thread.
+The hashes are bit-exact only with BLAS on one thread, so the script pins it
+through the environment before numpy is imported.
 
-Usage: OPENBLAS_NUM_THREADS=1 python scripts/toy_checkpoint_hashes.py
+Usage: python scripts/toy_checkpoint_hashes.py
 """
 
-import hashlib
 import os
-import sys
-import tempfile
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from sevx.config import RunConfig
-from sevx.model import AAMHead, SGDOptimizer, build_model, extract_embedding, train_step
-from sevx.pipeline import save_checkpoint
-from sevx.se import INTEGRATIONS
-from sevx.tensor import Tensor
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from sevx.config import RunConfig  # noqa: E402
+from sevx.model import AAMHead, SGDOptimizer, build_model, extract_embedding, train_step  # noqa: E402
+from sevx.pipeline import save_checkpoint  # noqa: E402
+from sevx.se import INTEGRATIONS  # noqa: E402
+from sevx.tensor import Tensor  # noqa: E402
 
 SEED = 2024
 SPEAKERS = 20

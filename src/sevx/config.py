@@ -55,7 +55,7 @@ SCHEMA: dict[str, _Field] = {
     "optim.epochs": _Field(int, 30, _positive),
     "optim.lr_decay_milestones": _Field(str, "0.5,0.75"),
     "optim.lr_decay_factor": _Field(float, 0.1, _positive),
-    "data.num_speakers": _Field(int, SynthSpec.num_speakers),
+    "data.num_speakers": _Field(int, SynthSpec.num_speakers, lambda x: x >= 2),
     "data.utts_per_speaker": _Field(int, SynthSpec.utts_per_speaker),
     "data.frames_per_utt": _Field(int, SynthSpec.frames_per_utt),
     "data.signature_rank": _Field(int, SynthSpec.speaker_signature_rank),

@@ -47,7 +47,7 @@ class ModelSpec:
                 raise ValueError(
                     f"model.{name} must be positive and finite, got {getattr(self, name)!r}")
         if not self.num_speakers >= 2:
-            raise ValueError("num_speakers must be >= 2")
+            raise ValueError(f"model.num_speakers must be >= 2, got {self.num_speakers!r}")
         if self.temporal_pooling not in ("mean", "mean_std"):
             raise ValueError("model.temporal_pooling must be 'mean' or 'mean_std'")
 

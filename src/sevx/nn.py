@@ -8,10 +8,11 @@ full-scale stack's per-stage output sizes on their intended grid.
 
 Convolution works on a channel-major, zero-padded copy of its input split
 into stride phases: each tap of the kernel is then a contiguous column window
-of one phase, so the forward pass is one GEMM over a transient stack of those
-windows and the backward pass one GEMM per tap. The tape keeps only the phase
-buffer, about the size of the input, not a kernel-squared column matrix
-(the low-memory GEMM family of Anderson et al., arXiv 1709.03395).
+of one phase, so the forward pass is one GEMM per column block of a stack of
+those windows and the backward pass one GEMM per tap. Neither holds a
+kernel-squared column matrix of the whole input: the tape keeps only the
+phase buffer, about the size of the input (the low-memory GEMM family of
+Anderson et al., arXiv 1709.03395).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .tensor import ShapeError, Tensor, cat
 STATS_EPS = 1e-8
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+# output columns per tap-stack block of the conv forward
+BLOCK_COLUMNS = 2048
 
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
@@ -89,15 +92,16 @@ class Conv2d:
     column window, at offset (i//sf)*Tg + j//st, of phase (i%sf, j%st); the
     n_out columns it spans cover every output on the (Fg, Tg) grid.
 
-    Forward is one GEMM of the (cout, cin*k*k) weights over a transient
-    (cin, k, k, n_out) stack of the k*k windows; the output is cropped from the
-    grid. Backward places the output gradient once on a zero grid; dW is one
-    GEMM per tap against that tap's window, and dX adds one GEMM per tap into
-    the phase grid, in tap order, before the padding is dropped. Only the
-    phase buffer (about the input's size for stride 1) stays on the tape, and
-    only while the weights are on it. There is no bias: each model conv feeds a
-    batch norm, which cancels it; BN's beta is the per-channel shift. ``bias``
-    is accepted only as False.
+    Forward walks the n_out columns in blocks of BLOCK_COLUMNS: one strided
+    copy per phase fills a (cin, k, k, block) stack of the k*k windows, and one
+    GEMM of the (cout, cin*k*k) weights writes the block's output columns; the
+    output is cropped from the grid. Backward places the output gradient once
+    on a zero grid; dW is one GEMM per tap against that tap's window, and dX
+    adds one GEMM per tap into the phase grid, in tap order, before the padding
+    is dropped. Only the phase buffer (about the input's size for stride 1)
+    stays on the tape, and only while the weights are on it. There is no bias:
+    each model conv feeds a batch norm, which cancels it; BN's beta is the
+    per-channel shift. ``bias`` is accepted only as False.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
@@ -149,16 +153,22 @@ class Conv2d:
             ph[:, :, gu, gv] = xc[:, :, xu, xv]
         flat = grid.reshape(len(phases), cin, b * fg * tg)
 
-        # the windows of phase (p, q)'s taps (p + sf*u, q + st*v), as one view:
-        # one copy per phase, channel by channel, with whole windows as rows
+        # columns [c0, c0 + bc) of phase (p, q)'s tap windows (p + sf*u, q + st*v)
+        # as one view: one copy per phase and block, then one GEMM per block
         item = grid.itemsize
-        stack = np.empty((cin, k, k, n_out), dtype=x.dtype)
-        for (p, q), ph in zip(phases, flat):
-            stack[:, p::sf, q::st] = as_strided(
-                ph, (cin, len(range(p, k, sf)), len(range(q, k, st)), n_out),
-                (ph.strides[0], tg * item, item, item))
-        y = weight.data.reshape(cout, cin * k * k) @ stack.reshape(cin * k * k, n_out)
-        del stack
+        w2 = weight.data.reshape(cout, cin * k * k)
+        y = np.empty((cout, n_out), dtype=x.dtype)
+        block = np.empty(cin * k * k * min(BLOCK_COLUMNS, n_out), dtype=x.dtype)
+        for c0 in range(0, n_out, BLOCK_COLUMNS):
+            bc = min(BLOCK_COLUMNS, n_out - c0)
+            # the ragged last block too is contiguous, so the GEMM reads it as one run
+            buf = block[:cin * k * k * bc].reshape(cin, k, k, bc)
+            for (p, q), ph in zip(phases, flat):
+                buf[:, p::sf, q::st] = as_strided(
+                    ph[:, c0:], (cin, len(range(p, k, sf)), len(range(q, k, st)), bc),
+                    (ph.strides[0], tg * item, item, item))
+            np.matmul(w2, buf.reshape(cin * k * k, bc), out=y[:, c0:c0 + bc])
+        del block, buf
         on_grid = as_strided(y, (cout, b, fo, to), (n_out * item, fg * tg * item, tg * item, item))
         on_grid = on_grid.transpose(1, 0, 2, 3)
         out = np.ascontiguousarray(on_grid)
@@ -196,13 +206,13 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    """Per-channel batch normalization over (batch, freq, time), one fused
-    primitive for both modes: ``gamma * xhat + beta``.
+    """Per-channel batch normalization over (batch, freq, time), ``gamma * xhat + beta``.
 
     Train mode normalizes with batch statistics (population variance) and
     updates the running estimates; eval mode normalizes with the running
     estimates, ``xhat = (x - running_mean) / sqrt(running_var + BN_EPS)``, which
-    start at mean 0 / var 1 so eval works before any training step. The
+    start at mean 0 / var 1 so eval works before any training step. Eval applies
+    that as one per-channel ``x * scale + shift``, recomputed on every call. The
     running estimates move by BN_MOMENTUM per training batch.
     """
 
@@ -231,20 +241,25 @@ class BatchNorm2d:
                                  + m * mu.reshape(c).astype(self.running_mean.dtype))
             self.running_var = ((1 - m) * self.running_var
                                 + m * var.reshape(c).astype(self.running_var.dtype))
+            gamma_c = gamma.data.reshape(1, c, 1, 1)
+            out = gamma_c * xhat + beta.data.reshape(1, c, 1, 1)
+
+            def backward(g):
+                dbeta = g.sum(axis=axes, keepdims=True)
+                dgamma = (g * xhat).sum(axis=axes, keepdims=True)
+                dx = gamma_c * inv_std * (g - (dbeta + xhat * dgamma) / n)
+                return (dx, dgamma.reshape(c), dbeta.reshape(c))
         else:
             mu = self.running_mean.reshape(1, c, 1, 1).astype(x.dtype)
             rstd = np.sqrt(self.running_var.reshape(1, c, 1, 1) + BN_EPS).astype(x.dtype)
-            xhat = (x.data - mu) / rstd
-        gamma_c = gamma.data.reshape(1, c, 1, 1)
-        out = gamma_c * xhat + beta.data.reshape(1, c, 1, 1)
+            scale = gamma.data.reshape(1, c, 1, 1) / rstd
+            out = x.data * scale
+            out += beta.data.reshape(1, c, 1, 1) - mu * scale
 
-        def backward(g):
-            dbeta = g.sum(axis=axes, keepdims=True)
-            dgamma = (g * xhat).sum(axis=axes, keepdims=True)
-            # eval statistics are constants, so x reaches the output only through xhat
-            dx = (gamma_c * inv_std * (g - (dbeta + xhat * dgamma) / n) if train
-                  else g * gamma_c / rstd)
-            return (dx, dgamma.reshape(c), dbeta.reshape(c))
+            def backward(g):
+                # the running statistics are constants: recompute xhat from x
+                dgamma = (g * ((x.data - mu) / rstd)).sum(axis=axes)
+                return g * scale, dgamma, g.sum(axis=axes)
 
         return Tensor._from_op(out, (x, gamma, beta), backward)
 

@@ -100,7 +100,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("model.scale_factor", "abc"), ("seed", "x"), ("se.pooling", "median"),
         ("head.margin", "9"), ("model.stage_blocks", "3,4"), ("head.scale", "nan"),
-        ("se.reduction", "x"), ("se.stages", "1,x"), ("head.scale", "big")])
+        ("se.reduction", "x"), ("se.stages", "1,x"), ("head.scale", "big"),
+        ("model.num_speakers", "1")])
     def test_undecodable_checkpoint_metadata_is_corrupt_artifact(self, tmp_path, capsys,
                                                                   key, value):
         path = str(tmp_path / "ckpt.sevx")
@@ -128,7 +129,8 @@ class TestExitCodes:
         ("seed = 1\nse.stages = 1,2\nseed = 2\n", "lines 1 and 3: key 'seed' set twice"),
         ("se.stages = 1,x\n", "se.stages: expected a comma list of int values, got '1,x'"),
         ("se.reduction = x\n", "se.reduction: cannot parse 'x'"),
-        ("se.pooling = median\n", "se.pooling must be one of")])
+        ("se.pooling = median\n", "se.pooling must be one of"),
+        ("data.num_speakers = 1\n", "data.num_speakers: invalid value 1")])
     def test_bad_config_line_names_its_key(self, tmp_path, capsys, text, message):
         cfg = write_cfg(tmp_path, text + f"out = {tmp_path}/o\n")
         assert main(["make-data", "--config", cfg]) == 1

@@ -106,7 +106,8 @@ class TestParsing:
     @pytest.mark.parametrize("key, value", [
         ("se.stages", "1,x"), ("se.stages", "1,,2"), ("se.stages", "1,9"), ("se.pooling", "median"),
         ("se.integration", "diagonal"), ("se.reduction", "0"), ("se.hidden_layers", "0"),
-        ("model.scale_factor", "-1"), ("model.temporal_pooling", "max"), ("optim.lr", "fast")])
+        ("model.scale_factor", "-1"), ("model.temporal_pooling", "max"), ("optim.lr", "fast"),
+        ("data.num_speakers", "1")])
     def test_error_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^(invalid config: )?{key}[: ]"):
             RunConfig({key: value})
@@ -198,7 +199,7 @@ class TestSpecMetadata:
 
     @pytest.mark.parametrize("key, value", [
         ("model.scale_factor", "abc"), ("model.stage_blocks", "3,x"),
-        ("model.stage_blocks", "3,4"), ("model.embedding_dim", "1.5")])
+        ("model.stage_blocks", "3,4"), ("model.embedding_dim", "1.5"), ("model.num_speakers", "1")])
     def test_model_spec_error_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=f"^{key}[: ]"):
             ModelSpec.from_metadata({key: value})

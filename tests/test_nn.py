@@ -7,14 +7,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevx import nn
 from sevx.model import BasicBlock
 from sevx.nn import (BN_EPS, BN_MOMENTUM, BatchNorm2d, Conv2d, Linear, conv2d_reference,
                      temporal_stats_pool)
-from sevx.tensor import ShapeError, Tensor
+from sevx.tensor import ShapeError, Tensor, no_grad
 
 
 def rng_of(seed):
     return np.random.default_rng(seed)
+
+
+REFERENCE_SHAPES = pytest.mark.parametrize("stride, kernel, shape", [
+    ((1, 1), 3, (1, 2, 5, 5)),
+    ((2, 2), 3, (1, 2, 5, 5)),
+    ((1, 2), 3, (1, 2, 5, 5)),
+    ((2, 2), 1, (2, 2, 6, 7)),     # the down conv: padding 0, one stride phase read
+    ((1, 1), 3, (3, 2, 5, 5)),
+    ((2, 2), 3, (2, 2, 7, 9)),
+    ((2, 1), 3, (2, 2, 7, 9)),
+], ids=["stride0", "stride1", "stride2", "kernel1-stride2", "batch3", "stride2-odd-7x9",
+        "stride2x1"])
+
+
+def check_against_reference(stride, kernel, shape):
+    x = rng_of(7).normal(size=shape)
+    conv = Conv2d(shape[1], 3, kernel=kernel, stride=stride, rng=rng_of(8), dtype=np.float64)
+    out = conv.forward(Tensor(x, dtype=np.float64))
+    ref = conv2d_reference(x, conv.weight.data, stride, conv.padding)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-12)
+
+
+def traced_peak(fn):
+    """(fn's result, peak bytes allocated while fn ran, by tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConv2d:
@@ -33,23 +64,25 @@ class TestConv2d:
         out = conv.forward(Tensor(np.zeros((1, 1, 60, 400), dtype=np.float32)))
         assert out.shape == (1, 128, 30, 200)
 
-    @pytest.mark.parametrize("stride, kernel, shape", [
-        ((1, 1), 3, (1, 2, 5, 5)),
-        ((2, 2), 3, (1, 2, 5, 5)),
-        ((1, 2), 3, (1, 2, 5, 5)),
-        ((2, 2), 1, (2, 2, 6, 7)),     # the down conv: padding 0, one stride phase read
-        ((1, 1), 3, (3, 2, 5, 5)),
-        ((2, 2), 3, (2, 2, 7, 9)),
-        ((2, 1), 3, (2, 2, 7, 9)),
-    ], ids=["stride0", "stride1", "stride2", "kernel1-stride2", "batch3", "stride2-odd-7x9",
-            "stride2x1"])
+    @REFERENCE_SHAPES
     def test_matches_naive_six_loop_reference(self, stride, kernel, shape):
-        rng = rng_of(7)
-        x = rng.normal(size=shape)
-        conv = Conv2d(shape[1], 3, kernel=kernel, stride=stride, rng=rng_of(8), dtype=np.float64)
-        out = conv.forward(Tensor(x, dtype=np.float64))
-        ref = conv2d_reference(x, conv.weight.data, stride, conv.padding)
-        np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-12)
+        check_against_reference(stride, kernel, shape)
+
+    @REFERENCE_SHAPES
+    def test_blocked_forward_matches_reference(self, monkeypatch, stride, kernel, shape):
+        # 7-column blocks: every shape spans several blocks and ends in a ragged one
+        monkeypatch.setattr(nn, "BLOCK_COLUMNS", 7)
+        widths = []
+        matmul = np.matmul
+
+        def gemm(w, block, out):
+            widths.append(block.shape[1])
+            assert block.flags.c_contiguous     # a slice of a wider buffer would not be
+            return matmul(w, block, out=out)
+
+        monkeypatch.setattr(np, "matmul", gemm)
+        check_against_reference(stride, kernel, shape)
+        assert len(widths) >= 2 and set(widths[:-1]) == {7} and 0 < widths[-1] < 7
 
     def test_tape_keeps_about_one_input_not_the_columns(self):
         # an im2col tape would keep kernel*kernel = 9 copies of the input
@@ -64,6 +97,14 @@ class TestConv2d:
             tracemalloc.stop()
         assert out.requires_grad
         assert retained <= 1.5 * x.data.nbytes
+
+    def test_grad_free_forward_peak_is_a_few_outputs(self):
+        # a whole-input tap stack alone would be 9 inputs
+        conv = Conv2d(128, 128, rng=rng_of(11))
+        x = Tensor(rng_of(12).normal(size=(1, 128, 60, 400)).astype(np.float32))
+        with no_grad():
+            out, peak = traced_peak(lambda: conv.forward(x))
+        assert peak < 4 * out.data.nbytes
 
     def test_channel_mismatch_error(self):
         conv = Conv2d(3, 4)
@@ -132,10 +173,24 @@ class TestBatchNorm:
         out = bn.forward(Tensor(x), train=False).data
         c = (1, 3, 1, 1)
         rstd = np.sqrt(bn.running_var.reshape(c) + BN_EPS)
-        expected = (bn.gamma.data.reshape(c) * ((x - bn.running_mean.reshape(c)) / rstd)
-                    + bn.beta.data.reshape(c))
+        scale = bn.gamma.data.reshape(c) / rstd
+        shift = bn.beta.data.reshape(c) - bn.running_mean.reshape(c) * scale
         assert out.dtype == np.float32
-        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out, x * scale + shift)
+        # within 4 ulps of the largest output of the four-pass form it replaces
+        # (normalize, scale, shift); an output near zero cancels in both forms,
+        # so per-element ulps have no bound
+        four_pass = (bn.gamma.data.reshape(c) * ((x - bn.running_mean.reshape(c)) / rstd)
+                     + bn.beta.data.reshape(c))
+        np.testing.assert_allclose(out, four_pass, rtol=0,
+                                   atol=4 * np.spacing(np.abs(four_pass).max()))
+
+    def test_eval_peak_is_about_one_output(self):
+        bn = BatchNorm2d(128)
+        x = Tensor(rng_of(13).normal(size=(1, 128, 60, 400)).astype(np.float32))
+        with no_grad():
+            out, peak = traced_peak(lambda: bn.forward(x, False))
+        assert peak < 1.5 * out.data.nbytes
 
     def test_running_stats_track_batches(self):
         bn = BatchNorm2d(1)
