@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.sequential and not tensor_mod.set_sequential(True):
-            print("warning: --sequential cannot pin BLAS without threadpoolctl; "
+            print("warning: --sequential found neither threadpoolctl nor numpy's OpenBLAS to pin; "
                   "set OPENBLAS_NUM_THREADS=1 before starting for bit-exact reruns",
                   file=sys.stderr)
         if args.fn is cmd_gradcheck:

@@ -10,9 +10,10 @@ Convolution works on a channel-major, zero-padded copy of its input split
 into stride phases: each tap of the kernel is then a contiguous column window
 of one phase, so the forward pass is one GEMM per column block of a stack of
 those windows and the backward pass one GEMM per tap. Neither holds a
-kernel-squared column matrix of the whole input: the tape keeps only the
-phase buffer, about the size of the input (the low-memory GEMM family of
-Anderson et al., arXiv 1709.03395).
+kernel-squared column matrix of the whole input (the low-memory GEMM family
+of Anderson et al., arXiv 1709.03395). The tape keeps no copy of the input:
+backward rebuilds the phase buffer from the conv's parent, as batch norm
+rebuilds ``xhat`` (recompute for memory, Chen et al., arXiv 1604.06174).
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class Conv2d:
     output is cropped from the grid. Backward places the output gradient once
     on a zero grid; dW is one GEMM per tap against that tap's window, and dX
     adds one GEMM per tap into the phase grid, in tap order, before the padding
-    is dropped. Only the phase buffer (about the input's size for stride 1)
-    stays on the tape, and only while the weights are on it. There is no bias:
+    is dropped. The phase buffer is freed after the blocks and rebuilt in
+    backward for dW only: the tape keeps no copy of the input. There is no bias:
     each model conv feeds a batch norm, which cancels it; BN's beta is the
     per-channel shift. ``bias`` is accepted only as False.
     """
@@ -147,15 +148,18 @@ class Conv2d:
         taps = [(i, j, phases.index((i % sf, j % st)), (i // sf) * tg + j // st)
                 for i in range(k) for j in range(k)]
 
-        grid = np.zeros((len(phases), cin, b, fg, tg), dtype=x.dtype)
-        xc = x.data.transpose(1, 0, 2, 3)
-        for ph, ((gu, xu), (gv, xv)) in zip(grid, spans):
-            ph[:, :, gu, gv] = xc[:, :, xu, xv]
-        flat = grid.reshape(len(phases), cin, b * fg * tg)
+        def phase_grid():
+            # (phase, cin, b*Fg*Tg), built again in backward for dW, not kept
+            grid = np.zeros((len(phases), cin, b, fg, tg), dtype=x.dtype)
+            xc = x.data.transpose(1, 0, 2, 3)
+            for ph, ((gu, xu), (gv, xv)) in zip(grid, spans):
+                ph[:, :, gu, gv] = xc[:, :, xu, xv]
+            return grid.reshape(len(phases), cin, b * fg * tg)
 
         # columns [c0, c0 + bc) of phase (p, q)'s tap windows (p + sf*u, q + st*v)
         # as one view: one copy per phase and block, then one GEMM per block
-        item = grid.itemsize
+        flat = phase_grid()
+        item = flat.itemsize
         w2 = weight.data.reshape(cout, cin * k * k)
         y = np.empty((cout, n_out), dtype=x.dtype)
         block = np.empty(cin * k * k * min(BLOCK_COLUMNS, n_out), dtype=x.dtype)
@@ -168,23 +172,24 @@ class Conv2d:
                     ph[:, c0:], (cin, len(range(p, k, sf)), len(range(q, k, st)), bc),
                     (ph.strides[0], tg * item, item, item))
             np.matmul(w2, buf.reshape(cin * k * k, bc), out=y[:, c0:c0 + bc])
-        del block, buf
+        del block, buf, flat
         on_grid = as_strided(y, (cout, b, fo, to), (n_out * item, fg * tg * item, tg * item, item))
         on_grid = on_grid.transpose(1, 0, 2, 3)
         out = np.ascontiguousarray(on_grid)
 
-        wdata, xshape = weight.data, x.shape
-        saved = flat if weight.requires_grad else None
+        wdata, xshape, w_grad = weight.data, x.shape, weight.requires_grad
 
         def backward(g):
             ggrid = np.zeros((cout, b, fg, tg), dtype=g.dtype)
             ggrid[:, :, :fo, :to] = g.transpose(1, 0, 2, 3)
             gm = ggrid.reshape(cout, b * fg * tg)[:, :n_out]
             dw = None
-            if saved is not None:
+            if w_grad:
+                flat = phase_grid()
                 dwk = np.empty((k, k, cout, cin), dtype=g.dtype)
                 for i, j, p, off in taps:
-                    np.matmul(gm, saved[p, :, off:off + n_out].T, out=dwk[i, j])
+                    np.matmul(gm, flat[p, :, off:off + n_out].T, out=dwk[i, j])
+                del flat
                 dw = np.ascontiguousarray(dwk.transpose(2, 3, 0, 1))
             dx = None
             if x.requires_grad:
@@ -213,7 +218,9 @@ class BatchNorm2d:
     estimates, ``xhat = (x - running_mean) / sqrt(running_var + BN_EPS)``, which
     start at mean 0 / var 1 so eval works before any training step. Eval applies
     that as one per-channel ``x * scale + shift``, recomputed on every call. The
-    running estimates move by BN_MOMENTUM per training batch.
+    running estimates move by BN_MOMENTUM per training batch. The tape keeps
+    no ``xhat``: backward rebuilds it from ``x`` (train mode: from the batch
+    mean and inverse std, with the forward's expression).
     """
 
     def __init__(self, channels: int, dtype=np.float32):
@@ -245,6 +252,8 @@ class BatchNorm2d:
             out = gamma_c * xhat + beta.data.reshape(1, c, 1, 1)
 
             def backward(g):
+                # x is on the tape as the parent: rebuild xhat, bit for bit
+                xhat = (x.data - mu) * inv_std
                 dbeta = g.sum(axis=axes, keepdims=True)
                 dgamma = (g * xhat).sum(axis=axes, keepdims=True)
                 dx = gamma_c * inv_std * (g - (dbeta + xhat * dgamma) / n)

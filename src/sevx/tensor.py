@@ -16,12 +16,16 @@ array a rule returned, or a ``.grad`` stored before the call, is never
 written. A leaf's ``.grad`` may therefore be a shared, read-only view (of
 another leaf's gradient, say) that is only ever read. Leaf gradients
 accumulate across ``backward`` calls; call ``zero_grad`` (or drop the graph)
-between steps.
+between steps. An interior node's gradient is freed once its rule has run,
+so only leaves keep one; the tape itself stays, and can be replayed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import glob
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +43,7 @@ class NumericError(RuntimeError):
 
 _GRAD_ENABLED = True
 _SEQUENTIAL = False
-_BLAS_LIMIT = None
+_BLAS_RESTORE = None    # undoes the BLAS pin while sequential mode holds one
 
 
 @contextlib.contextmanager
@@ -53,30 +57,46 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def _pin_blas():
+    """Cap BLAS at one thread; return a callable that undoes it, or None."""
+    try:
+        from threadpoolctl import threadpool_limits
+        return threadpool_limits(limits=1).unregister
+    except ImportError:
+        pass
+    # dlopen of numpy's bundled OpenBLAS returns the copy numpy already loaded
+    libs = glob.glob(os.path.join(np.__path__[0], os.pardir, "numpy.libs", "libscipy_openblas64_-*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    old = get()
+    set_(1)
+    return lambda: set_(old)
+
+
 def set_sequential(flag: bool) -> bool:
     """Pin execution to one thread for bit-exact reproducibility.
 
     All kernels in this package are single numpy calls; the only source of
     run-to-run nondeterminism would be a threaded BLAS changing its reduction
-    order, so sequential mode caps the BLAS thread pool at one through
-    ``threadpoolctl``. Without ``threadpoolctl`` BLAS is left as it is, and
-    bit-exact reruns need ``OPENBLAS_NUM_THREADS=1`` set before numpy starts.
-    Returns whether the BLAS thread pool is now capped.
+    order, so sequential mode caps the BLAS thread pool at one, through
+    ``threadpoolctl`` or else numpy's bundled OpenBLAS via ``ctypes``, and
+    leaving it restores the old count. If neither works BLAS is left as it is,
+    and bit-exact reruns need ``OPENBLAS_NUM_THREADS=1`` set before numpy
+    starts. Returns whether the BLAS thread pool is now capped.
     """
-    global _SEQUENTIAL, _BLAS_LIMIT
+    global _SEQUENTIAL, _BLAS_RESTORE
     if flag and not _SEQUENTIAL:
-        try:
-            from threadpoolctl import threadpool_limits
-
-            _BLAS_LIMIT = threadpool_limits(limits=1)
-        except ImportError:
-            _BLAS_LIMIT = None
-    elif not flag and _SEQUENTIAL:
-        if _BLAS_LIMIT is not None:
-            _BLAS_LIMIT.unregister()
-            _BLAS_LIMIT = None
+        _BLAS_RESTORE = _pin_blas()
+    elif not flag and _SEQUENTIAL and _BLAS_RESTORE is not None:
+        _BLAS_RESTORE()
+        _BLAS_RESTORE = None
     _SEQUENTIAL = flag
-    return _BLAS_LIMIT is not None
+    return _BLAS_RESTORE is not None
 
 
 def is_sequential() -> bool:
@@ -201,10 +221,11 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate grad on every requires_grad tensor reachable from self.
+        """Populate grad on every requires_grad leaf reachable from self.
 
-        ``self`` must be scalar. Leaf gradients accumulate across calls;
-        interior node gradients are reset on every call.
+        ``self`` must be scalar. Leaf gradients accumulate across calls; an
+        interior one is dropped once its rule has run. Rules and parents stay,
+        so the graph can be replayed.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -235,6 +256,7 @@ class Tensor:
                 else:
                     parent.grad = parent.grad + g
                     owned[id(parent.grad)] = parent.grad
+            node.grad = None    # interior: its rule has used it
 
     # ---- elementwise arithmetic ----------------------------------------
 

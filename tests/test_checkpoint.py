@@ -5,9 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sevx.checkpoint import (ContainerError, list_from_text, list_to_text, metadata_from_text,
-                             metadata_to_text, read_container, write_container)
+from sevx.checkpoint import (MAGIC, VERSION, ContainerError, list_from_text, list_to_text,
+                             metadata_from_text, metadata_to_text, read_container,
+                             write_container)
 from sevx.config import RunConfig
 from sevx.model import AAMHead, ModelSpec, SGDOptimizer, build_model, extract_embedding, train_step
 from sevx.pipeline import load_checkpoint, save_checkpoint
@@ -156,6 +159,65 @@ class TestCorruption:
             f.write(data[name_len_at:])
         with pytest.raises(ContainerError, match="duplicate tensor name 'x'"):
             read_container(path)
+
+
+FUZZ_TENSORS = [("conv.weight", np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2)),
+                ("bn.gamma", np.ones(3, dtype=np.float32)), ("scalar", np.float32(7.0))]
+
+
+def fuzz_base():
+    """A valid container's bytes, and the offsets of its 8-byte length fields
+    (metadata length, then per tensor: name length, rank, each dim)."""
+    meta = b"model.scale_factor = 0.125\nse.stages = 1,2\n"
+    blob = MAGIC + struct.pack("<IQ", VERSION, len(meta)) + meta
+    fields = [8]
+    for name, arr in FUZZ_TENSORS:
+        arr = np.asarray(arr)
+        fields += [len(blob) + 8 * i + len(name) * (i > 0) for i in range(2 + arr.ndim)]
+        blob += (struct.pack("<Q", len(name)) + name.encode() + struct.pack("<Q", arr.ndim)
+                 + struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.astype("<f4").tobytes())
+    return blob, fields
+
+
+FUZZ_BLOB, FUZZ_FIELDS = fuzz_base()
+
+
+@st.composite
+def damaged_containers(draw):
+    blob = bytearray(FUZZ_BLOB)
+    kind = draw(st.sampled_from(["flip", "truncate", "length"]))
+    if kind == "flip":
+        for at in draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            blob[at] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    else:
+        at = draw(st.sampled_from(FUZZ_FIELDS))
+        value = draw(st.one_of(st.integers(0, 64), st.integers(0, 2 ** 64 - 1)))
+        blob[at:at + 8] = struct.pack("<Q", value)
+    return bytes(blob)
+
+
+class TestFuzz:
+    def test_base_container_is_valid(self, tmp_path):
+        path = tmp_path / "base.sevx"
+        path.write_bytes(FUZZ_BLOB)
+        meta, tensors = read_container(str(path))
+        assert meta.startswith("model.scale_factor")
+        assert list(tensors) == [name for name, _ in FUZZ_TENSORS]
+        path.write_bytes(FUZZ_BLOB[:FUZZ_FIELDS[1]])
+        assert read_container(str(path)) == (meta, {})
+
+    # byte flips, truncations and overwritten length fields are corrupt artifacts
+    @given(blob=damaged_containers())
+    @settings(max_examples=400, deadline=None)
+    def test_damage_raises_only_container_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.sevx"
+        path.write_bytes(blob)
+        try:
+            read_container(str(path))
+        except ContainerError:
+            pass
 
 
 class TestLoadCheckpoint:

@@ -1,5 +1,7 @@
 """CLI contract: subcommands, exit codes, determinism, artifact wiring."""
 
+import ctypes
+import glob
 import hashlib
 import os
 import sys
@@ -73,10 +75,42 @@ class TestExitCodes:
         assert main(["train", "--config", cfg]) == 1
         assert "error: out of memory: Unable to allocate 11.0 GiB" in capsys.readouterr().err
 
-    def test_sequential_without_threadpoolctl_warns(self, monkeypatch, capsys):
+    def test_sequential_without_threadpoolctl_pins_openblas(self, monkeypatch, capsys):
         from sevx.gradcheck import GradCheckResult
 
+        libs = glob.glob(os.path.join(np.__path__[0], os.pardir, "numpy.libs",
+                                      "libscipy_openblas64_-*.so"))
+        if not libs:
+            pytest.skip("this numpy does not bundle scipy-openblas")
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        seen = []
+
+        def suite(seeds):
+            seen.append(get())
+            return [GradCheckResult("conv2d", 0, True, 0.0, 0.0)]
+
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+        monkeypatch.setattr("sevx.cli.run_suite", suite)
+        old = get()
+        set_(2)
+        try:
+            assert main(["--sequential", "gradcheck", "--seeds", "1"]) == 0
+            after = get()
+        finally:
+            set_(old)
+        assert seen == [1]       # pinned while the command ran
+        assert after == 2        # and restored when it ended
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_sequential_without_any_blas_handle_warns(self, monkeypatch, capsys):
+        from sevx.gradcheck import GradCheckResult
+
+        def no_library(*args, **kwargs):
+            raise OSError("cannot open shared object file")
+
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
         monkeypatch.setattr("sevx.cli.run_suite",
                             lambda seeds: [GradCheckResult("conv2d", 0, True, 0.0, 0.0)])
         assert main(["--sequential", "gradcheck", "--seeds", "1"]) == 0

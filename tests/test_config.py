@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevx.checkpoint import metadata_to_text
 from sevx.config import SCHEMA, ConfigError, RunConfig, parse_config_text
@@ -217,3 +219,34 @@ class TestSpecMetadata:
         assert not se.enabled
         assert se.pooling == "std"
         assert se.reduction_factor == SEConfig().reduction_factor
+
+
+# values that parse, values each key rejects, and edge cases of the parsers
+FUZZ_VALUES = sorted({v for vs in INVALID_VALUES.values() for v in vs}
+                     | {str(f.default) for f in SCHEMA.values()}
+                     | {"1", "2", "4", "64", "0.5", "1,2,3,4", "1e308", "-1e308", "9" * 40,
+                        "-0", "1_000", " 3 ", "0x10", "½", "1,2,3,4,4", "mean_std", "std"})
+fuzz_values = st.one_of(st.sampled_from(FUZZ_VALUES), st.text(max_size=12))
+junk_lines = st.one_of(
+    st.sampled_from(["", "# comment", "=", "key", " = 1", "seed = 1"]), st.text(max_size=20),
+    st.tuples(st.text(max_size=12), fuzz_values).map(" = ".join))
+# up to six schema keys set once each, shuffled in with up to two other lines
+config_texts = st.tuples(
+    st.dictionaries(st.sampled_from(sorted(SCHEMA)), fuzz_values, max_size=6),
+    st.lists(junk_lines, max_size=2),
+).flatmap(lambda kj: st.permutations([f"{k} = {v}" for k, v in kj[0].items()] + kj[1])
+          ).map("\n".join)
+
+
+class TestFuzz:
+    # any text either builds every spec or raises ConfigError, never another error
+    @given(config_texts)
+    @settings(max_examples=600, deadline=None)
+    def test_random_text_raises_only_config_error(self, text):
+        try:
+            cfg = RunConfig(parse_config_text(text))
+            cfg.model_spec()
+            cfg.se_config()
+            cfg.synth_spec()
+        except ConfigError:
+            pass

@@ -1,10 +1,12 @@
 """Model assembly, AAM-softmax loss, the optimizer recurrence, extraction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sevx.config import TOY_CONFIG, RunConfig
 from sevx.model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, aam_loss,
                         build_model, extract_embedding, se_census, train_step)
 from sevx.pipeline import train_accuracy
@@ -218,6 +220,31 @@ class TestTrainStep:
         model, head, opt, x, y = self._setup()
         losses = [train_step(model, head, x, y, opt) for _ in range(8)]
         assert losses[-1] < losses[0]
+
+    def test_step_peak_is_about_the_tape(self):
+        # backward frees each interior gradient once used, so a step peaks a
+        # little above what forward and loss left on the tape, not 1.6x it
+        cfg = RunConfig(dict(TOY_CONFIG))
+        spec = cfg.model_spec(num_speakers=20)
+        model = build_model(spec, cfg.se_config(), seed=0)
+        head = AAMHead(20, spec.embedding_dim, seed=0)
+        opt = SGDOptimizer(list(model.named_parameters()) + list(head.named_parameters()),
+                           lr=0.05)
+        x = Tensor(rng_of(1).normal(size=(4, 1, 60, 64)).astype(np.float32))
+        y = np.arange(4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = aam_loss(model.forward_embedding(x, train=True), y, head)
+            tape = tracemalloc.get_traced_memory()[0] - before
+            del loss
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            train_step(model, head, x, y, opt)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * tape
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_aborts_with_parameter_name(self):

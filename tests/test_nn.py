@@ -48,6 +48,18 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def traced_retained(fn):
+    """(fn's result, bytes fn allocated that are still held, its result's data
+    excluded), by tracemalloc: what a forward leaves on the tape."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[0] - before - result.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
 class TestConv2d:
     def test_delta_kernel_is_identity(self):
         conv = Conv2d(1, 1)
@@ -84,19 +96,15 @@ class TestConv2d:
         check_against_reference(stride, kernel, shape)
         assert len(widths) >= 2 and set(widths[:-1]) == {7} and 0 < widths[-1] < 7
 
-    def test_tape_keeps_about_one_input_not_the_columns(self):
-        # an im2col tape would keep kernel*kernel = 9 copies of the input
-        conv = Conv2d(16, 16, rng=rng_of(9))
+    def test_tape_keeps_no_copy_of_the_input(self):
+        # an im2col tape would keep 9 copies of the input, a phase-buffer tape one;
+        # backward rebuilds the phase buffer from x, which the tape holds anyway
         x = Tensor(rng_of(10).normal(size=(20, 16, 60, 64)).astype(np.float32), requires_grad=True)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = conv.forward(x)
-            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-        finally:
-            tracemalloc.stop()
-        assert out.requires_grad
-        assert retained <= 1.5 * x.data.nbytes
+        for stride in ((1, 1), (2, 2)):
+            conv = Conv2d(16, 16, stride=stride, rng=rng_of(9))
+            out, retained = traced_retained(lambda: conv.forward(x))
+            assert out.requires_grad
+            assert retained <= 0.05 * x.data.nbytes, stride
 
     def test_grad_free_forward_peak_is_a_few_outputs(self):
         # a whole-input tap stack alone would be 9 inputs
@@ -191,6 +199,14 @@ class TestBatchNorm:
         with no_grad():
             out, peak = traced_peak(lambda: bn.forward(x, False))
         assert peak < 1.5 * out.data.nbytes
+
+    def test_train_tape_keeps_no_xhat(self):
+        # backward rebuilds xhat from x and the per-channel mean and inverse std
+        bn = BatchNorm2d(16)
+        x = Tensor(rng_of(14).normal(size=(20, 16, 60, 64)).astype(np.float32), requires_grad=True)
+        out, retained = traced_retained(lambda: bn.forward(x, True))
+        assert out.requires_grad
+        assert retained <= 0.05 * x.data.nbytes
 
     def test_running_stats_track_batches(self):
         bn = BatchNorm2d(1)

@@ -137,12 +137,13 @@ class TestBackward:
 
     def test_three_consumers_get_the_exact_sum(self):
         # ``a`` feeds add, *5 and *7; ``h`` gets its sum from two consumers,
-        # and add hands that sum on to ``a`` and ``b`` as the same array
+        # and add hands that sum on to ``a`` and ``b`` as the same array, so
+        # ``b.grad`` is h's sum; h, an interior node, keeps no gradient
         a = t([1.0, 2.0], grad=True)
         b = t([3.0, 4.0], grad=True)
         h = a + b
         ((h * 2.0).sum() + (h * 3.0).sum() + (a * 5.0).sum() + (a * 7.0).sum()).backward()
-        np.testing.assert_array_equal(h.grad, [5.0, 5.0])
+        assert h.grad is None
         np.testing.assert_array_equal(a.grad, [17.0, 17.0])
         np.testing.assert_array_equal(b.grad, [5.0, 5.0])
 
