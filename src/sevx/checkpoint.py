@@ -1,4 +1,5 @@
-"""SEVX binary tensor container, and the settings text it shares with configs.
+"""How artifacts reach disk and are read back: the atomic writer, row tables,
+the settings text shared with configs, and the SEVX binary tensor container.
 
 Layout: magic ``SEVX``, format version (u32 LE), length-prefixed UTF-8
 metadata block (u64 LE length; dotted key = value lines), then named tensors
@@ -9,6 +10,7 @@ bit-exact; every read error reports the byte offset it happened at.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -73,14 +75,56 @@ def list_from_text(text: str, parse) -> tuple:
             f"expected a comma list of {parse.__name__} values, got {text!r}") from None
 
 
+@contextlib.contextmanager
+def replaced_atomically(path: str, binary: bool = False):
+    """A file open on the sibling ``<path>.<pid>.tmp``, in a directory made if
+    missing. A clean exit ``os.replace``s it over ``path``; an exception removes
+    it. A killed process leaves ``path`` whole, plus at most the sibling. There
+    is no fsync: this survives a process crash, not a power loss."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_rows(path: str, rows) -> None:
+    """One line per row of ``rows``, its fields (``str`` of each) joined by tabs."""
+    with replaced_atomically(path) as f:
+        f.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def read_rows(path: str, n: int, parse) -> list:
+    """``parse(*fields)`` of each nonblank line, split on whitespace into ``n``
+    fields, the last keeping any inner whitespace. A shorter line, or a
+    ``ValueError`` from ``parse``, raises ``ValueError`` prefixed ``path:line:``."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            fields = line.strip().split(None, n - 1)
+            if not fields:
+                continue
+            if len(fields) < n:
+                raise ValueError(f"{path}:{lineno}: expected {n} fields, got {len(fields)}")
+            try:
+                rows.append(parse(*fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
 def write_container(path: str, metadata: str, tensors) -> None:
-    """Write named float32 tensors with a metadata header.
+    """Write named float32 tensors with a metadata header, replacing ``path`` whole.
 
     ``tensors`` is an iterable of (name, ndarray); order is preserved, so a
     deterministic producer yields byte-identical files.
     """
     meta_bytes = metadata.encode("utf-8")
-    with open(path, "wb") as f:
+    with replaced_atomically(path, binary=True) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<Q", len(meta_bytes)))

@@ -16,10 +16,11 @@ import sys
 
 from . import analysis as analysis_mod
 from . import tensor as tensor_mod
-from .checkpoint import ContainerError, metadata_to_text, write_container
+from .checkpoint import (ContainerError, metadata_to_text, replaced_atomically, write_container,
+                         write_rows)
 from .config import ConfigError, RunConfig, parse_config_text
 from .gradcheck import run_suite
-from .metrics import metrics_report, read_trials, score_set_from_files, write_metrics_report
+from .metrics import metrics_report, read_trials, score_set_from_files
 from .pipeline import (CHECKPOINT_NAME, MissingArtifactError, SCORES_NAME, TRIALS_NAME,
                        corpus_dir, evaluate_checkpoint, extract_embeddings, load_checkpoint,
                        load_corpus, run_ablation, run_training, write_corpus)
@@ -59,9 +60,8 @@ def load_run_config(args) -> RunConfig:
 
 
 def freeze_config(config: RunConfig, command: str) -> None:
-    cfg_dir = os.path.join(config.out_dir, "configs")
-    os.makedirs(cfg_dir, exist_ok=True)
-    with open(os.path.join(cfg_dir, f"{command}.resolved.cfg"), "w", encoding="utf-8") as f:
+    with replaced_atomically(
+            os.path.join(config.out_dir, "configs", f"{command}.resolved.cfg")) as f:
         f.write(config.render())
 
 
@@ -102,9 +102,7 @@ def cmd_extract(args, config: RunConfig) -> int:
     model, _head, _meta = load_checkpoint(ckpt)
     utts = load_corpus(corpus_dir(config))
     emb = extract_embeddings(model, utts)
-    out_dir = os.path.join(config.out_dir, "embeddings")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "embeddings.sevx")
+    path = os.path.join(config.out_dir, "embeddings", "embeddings.sevx")
     write_container(path, metadata_to_text({"embeddings.checkpoint": ckpt}),
                     sorted(emb.items()))
     _print(f"wrote {len(emb)} embeddings -> {path}")
@@ -118,9 +116,7 @@ def cmd_score(args, config: RunConfig) -> int:
         raise MissingArtifactError(f"trial list not found: {trials_path}")
     trials = read_trials(trials_path)
     utts = load_corpus(corpus_dir(config))
-    out_dir = os.path.join(config.out_dir, "scores")
-    os.makedirs(out_dir, exist_ok=True)
-    scores_path = os.path.join(out_dir, SCORES_NAME)
+    scores_path = os.path.join(config.out_dir, "scores", SCORES_NAME)
     report = evaluate_checkpoint(ckpt, utts, trials, config.dcf_params(),
                                  scores_path=scores_path)
     _print(f"scores -> {scores_path} (eer={report['eer_percent']}%)")
@@ -135,9 +131,7 @@ def cmd_metrics(args, config: RunConfig) -> int:
             raise MissingArtifactError(f"missing input: {path}")
     scoreset = score_set_from_files(trials_path, scores_path)
     report = metrics_report(scoreset, config.dcf_params())
-    out_dir = os.path.join(config.out_dir, "metrics")
-    os.makedirs(out_dir, exist_ok=True)
-    write_metrics_report(os.path.join(out_dir, "metrics.tsv"), report)
+    write_rows(os.path.join(config.out_dir, "metrics", "metrics.tsv"), report.items())
     for k, v in report.items():
         _print(f"{k}\t{v}")
     return EXIT_OK
@@ -151,11 +145,10 @@ def cmd_analyze(args, config: RunConfig) -> int:
         model, ((u.utterance_id, u.speaker_id, u.features) for u in utts))
     profiles, dispersion = analysis_mod.across_speaker_profile(records)
     out_dir = os.path.join(config.out_dir, "analysis")
-    os.makedirs(out_dir, exist_ok=True)
     report = analysis_mod.render_report(profiles, dispersion)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
+    with replaced_atomically(os.path.join(out_dir, "report.txt")) as f:
         f.write(report)
-    with open(os.path.join(out_dir, "analysis.tsv"), "w", encoding="utf-8") as f:
+    with replaced_atomically(os.path.join(out_dir, "analysis.tsv")) as f:
         f.write(analysis_mod.profiles_to_tsv(profiles))
     write_container(os.path.join(out_dir, "profiles.sevx"),
                     metadata_to_text({"analysis.checkpoint": ckpt}),

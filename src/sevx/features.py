@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import replaced_atomically
+
 SAMPLE_RATE = 16000
 FRAME_LEN = 400          # 25 ms at 16 kHz
 FRAME_HOP = 160          # 10 ms at 16 kHz
@@ -225,7 +227,7 @@ def featurize_wav(path: str) -> np.ndarray:
 def write_wav(path: str, samples: np.ndarray) -> None:
     """Write float samples in [-1, 1] as PCM-16 mono 16 kHz (test fixture aid)."""
     pcm = np.clip(np.asarray(samples) * 32767.0, -32768, 32767).astype("<i2")
-    with wave.open(path, "wb") as w:
+    with replaced_atomically(path, binary=True) as f, wave.open(f, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(SAMPLE_RATE)

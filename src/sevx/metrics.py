@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import read_rows, write_rows
 from .tensor import NumericError
 
 TARGET = "target"
@@ -121,45 +122,30 @@ def min_dcf(scores: ScoreSet, params: DCFParams = DCFParams()) -> float:
 
 
 def read_trials(path: str) -> list[Trial]:
-    """Lines of ``enroll_id test_id target|nontarget`` (whitespace separated)."""
-    trials = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            trials.append(Trial(parts[0], parts[1], parts[2]))
-    return trials
+    """Rows of ``enroll_id test_id target|nontarget``."""
+    return read_rows(path, 3, Trial)
 
 
 def write_trials(path: str, trials) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for t in trials:
-            f.write(f"{t.enroll_id}\t{t.test_id}\t{t.label}\n")
+    write_rows(path, ((t.enroll_id, t.test_id, t.label) for t in trials))
 
 
 def read_scores(path: str) -> dict[tuple[str, str], float]:
+    """Rows of ``enroll_id test_id score``; a pair scored twice is an error."""
     scores = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            scores[(parts[0], parts[1])] = float(parts[2])
+
+    def add(enroll: str, test: str, score: str) -> None:
+        if (enroll, test) in scores:
+            raise ValueError(f"trial {enroll} {test} scored twice")
+        scores[(enroll, test)] = float(score)
+
+    read_rows(path, 3, add)
     return scores
 
 
 def write_scores(path: str, items) -> None:
     """items: iterable of (enroll_id, test_id, score)."""
-    with open(path, "w", encoding="utf-8") as f:
-        for enroll, test, score in items:
-            f.write(f"{enroll}\t{test}\t{score:.8f}\n")
+    write_rows(path, ((enroll, test, f"{score:.8f}") for enroll, test, score in items))
 
 
 def score_set_from_files(trials_path: str, scores_path: str) -> ScoreSet:
@@ -183,8 +169,3 @@ def metrics_report(scores: ScoreSet, params: DCFParams = DCFParams()) -> dict[st
         "num_nontarget": str(len(scores.nontarget_scores)),
     }
 
-
-def write_metrics_report(path: str, report: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for k, v in report.items():
-            f.write(f"{k}\t{v}\n")

@@ -25,6 +25,7 @@ class ModelSpec:
 
     ``scale_factor`` shrinks every channel width (stem and stages) so the
     same topology runs at desk scale; the embedding dim is untouched.
+    ``segment_frames`` is validated and recorded but unread: chunks use ``data.chunk_frames``.
     """
 
     stage_blocks: tuple[int, ...] = (3, 4, 6, 3)

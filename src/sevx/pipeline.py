@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import (ContainerError, list_to_text, metadata_from_text, metadata_to_text,
-                         read_container, value_from_text, write_container)
+                         read_container, read_rows, value_from_text, write_container, write_rows)
 from .config import ConfigError, RunConfig
 from .features import Utterance, chunk, featurize_wav, generate_synthetic_corpus
 from .metrics import (DCFParams, ScoreSet, Trial, metrics_report, read_trials, unit_rows,
-                      write_metrics_report, write_scores, write_trials)
+                      write_scores, write_trials)
 from .model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, build_model,
                     extract_embedding, se_census, train_step)
 from .nn import rng_for
@@ -48,7 +48,6 @@ def corpus_dir(config: RunConfig) -> str:
 def write_corpus(config: RunConfig) -> str:
     """Materialize the synthetic corpus: manifest, feature cache, trial list."""
     cdir = corpus_dir(config)
-    os.makedirs(cdir, exist_ok=True)
     utts = generate_synthetic_corpus(config.synth_spec())
     cache_path = os.path.join(cdir, FEATURES_NAME)
     meta = {
@@ -59,9 +58,8 @@ def write_corpus(config: RunConfig) -> str:
     }
     write_container(cache_path, metadata_to_text(meta),
                     ((u.utterance_id, u.features) for u in utts))
-    with open(os.path.join(cdir, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        for u in utts:
-            f.write(f"{u.utterance_id}\t{u.speaker_id}\t{cache_path}\n")
+    write_rows(os.path.join(cdir, MANIFEST_NAME),
+               ((u.utterance_id, u.speaker_id, cache_path) for u in utts))
     trials = generate_trials(utts, config.seed)
     write_trials(os.path.join(cdir, TRIALS_NAME), trials)
     return cdir
@@ -76,26 +74,16 @@ def load_corpus(cdir: str) -> list[Utterance]:
         raise MissingArtifactError(
             f"corpus not found under {cdir} (run make-data first)")
     tensors = read_container(cache)[1] if os.path.exists(cache) else {}
-    utts = []
-    with open(manifest, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{manifest}:{lineno}: expected 3 tab-separated fields")
-            utt_id, spk_id, path = parts
-            if utt_id in tensors:
-                feats = tensors[utt_id]
-            elif path.endswith(".wav") and os.path.exists(path):
-                feats = featurize_wav(path)
-            else:
-                raise MissingArtifactError(
-                    f"{manifest}:{lineno}: utterance {utt_id!r} is neither cached "
-                    f"nor backed by a WAV file at {path!r}")
-            utts.append(Utterance(utt_id, spk_id, feats))
-    return utts
+
+    def utterance(utt_id: str, spk_id: str, path: str) -> Utterance:
+        if utt_id in tensors:
+            return Utterance(utt_id, spk_id, tensors[utt_id])
+        if path.endswith(".wav") and os.path.exists(path):
+            return Utterance(utt_id, spk_id, featurize_wav(path))
+        raise MissingArtifactError(f"{manifest}: utterance {utt_id!r} is neither cached "
+                                   f"nor backed by a WAV file at {path!r}")
+
+    return read_rows(manifest, 3, utterance)
 
 
 def generate_trials(utts, seed: int) -> list[Trial]:
@@ -182,7 +170,6 @@ def train_accuracy(model: SpeakerEmbedder, head: AAMHead, x: np.ndarray,
 
 def run_training(config: RunConfig, utts, run_dir: str,
                  log_fn=None) -> TrainResult:
-    os.makedirs(run_dir, exist_ok=True)
     x, y, speakers = build_training_set(utts, config["data.chunk_frames"])
     spec = config.model_spec(num_speakers=len(speakers))
     se_cfg = config.se_config()
@@ -208,9 +195,8 @@ def run_training(config: RunConfig, utts, run_dir: str,
     t0 = time.time()
     step = 0
     loss = float("nan")
-    log_path = os.path.join(run_dir, TRAIN_LOG_NAME)
-    with open(log_path, "w", encoding="utf-8") as log:
-        log.write("step\tepoch\tloss\tlr\twall_time\n")
+    log = [("step", "epoch", "loss", "lr", "wall_time")]
+    try:
         for epoch in range(epochs):
             perm = order_rng.permutation(len(x))
             for i in range(0, len(x), batch_size):
@@ -219,20 +205,22 @@ def run_training(config: RunConfig, utts, run_dir: str,
                                config["optim.lr_decay_factor"])
                 loss = train_step(model, head, Tensor(x[idx]), y[idx], opt)
                 step += 1
-                log.write(f"{step}\t{epoch}\t{loss:.6f}\t{opt.lr:.6g}\t{time.time() - t0:.3f}\n")
+                log.append((step, epoch, f"{loss:.6f}", f"{opt.lr:.6g}", f"{time.time() - t0:.3f}"))
             if log_fn:
                 log_fn(f"epoch {epoch + 1}/{epochs} loss={loss:.4f}")
+    finally:
+        write_rows(os.path.join(run_dir, TRAIN_LOG_NAME), log)
 
     acc = train_accuracy(model, head, x, y)
     ckpt_path = os.path.join(run_dir, CHECKPOINT_NAME)
     save_checkpoint(ckpt_path, model, head, config)
-    with open(os.path.join(run_dir, TRAIN_SUMMARY_NAME), "w", encoding="utf-8") as f:
-        f.write(f"params_total\t{params_total}\n")
-        f.write(f"params_se\t{params_se}\n")
-        f.write(f"params_se_closed_form\t{se_census(spec, se_cfg)}\n")
-        f.write(f"final_loss\t{loss:.6f}\n")
-        f.write(f"train_accuracy\t{acc:.6f}\n")
-        f.write(f"steps\t{step}\n")
+    write_rows(os.path.join(run_dir, TRAIN_SUMMARY_NAME), [
+        ("params_total", params_total),
+        ("params_se", params_se),
+        ("params_se_closed_form", se_census(spec, se_cfg)),
+        ("final_loss", f"{loss:.6f}"),
+        ("train_accuracy", f"{acc:.6f}"),
+        ("steps", step)])
     if log_fn:
         log_fn(f"final train accuracy {acc:.3f} after {step} steps")
     return TrainResult(ckpt_path, loss, acc, params_total, params_se, step)
@@ -409,11 +397,10 @@ def run_ablation(config: RunConfig, grid_text: str, log_fn=None) -> str:
     utts = load_corpus(corpus_dir(config))
     trials = read_trials(os.path.join(corpus_dir(config), TRIALS_NAME))
     abl_dir = os.path.join(config.out_dir, "ablation")
-    os.makedirs(abl_dir, exist_ok=True)
     results_path = os.path.join(abl_dir, "results.tsv")
-    with open(results_path, "w", encoding="utf-8") as f:
-        f.write("cell\tstages\tr\th\tintegration\tpooling\tparams_total\tparams_se\t"
-                "eer_percent\tmin_dcf\n")
+    rows = [("cell", "stages", "r", "h", "integration", "pooling", "params_total", "params_se",
+             "eer_percent", "min_dcf")]
+    try:
         for cell in grid_cells(axes):
             label = cell_label(cell)
             cell_cfg = apply_cell(config, cell)
@@ -427,21 +414,23 @@ def run_ablation(config: RunConfig, grid_text: str, log_fn=None) -> str:
             report = evaluate_checkpoint(
                 result.checkpoint_path, utts, trials, config.dcf_params(),
                 scores_path=os.path.join(cdir, SCORES_NAME))
-            write_metrics_report(os.path.join(cdir, METRICS_NAME), report)
+            write_rows(os.path.join(cdir, METRICS_NAME), report.items())
             se_cfg = cell_cfg.se_config()
-            f.write("\t".join([
+            rows.append((
                 label,
                 list_to_text(sorted(se_cfg.stages)) or "-",
-                str(se_cfg.reduction_factor),
-                str(se_cfg.hidden_layers),
+                se_cfg.reduction_factor,
+                se_cfg.hidden_layers,
                 se_cfg.integration,
                 se_cfg.pooling,
-                str(result.params_total),
-                str(result.params_se),
+                result.params_total,
+                result.params_se,
                 report["eer_percent"],
                 report["min_dcf"],
-            ]) + "\n")
+            ))
             if log_fn:
                 log_fn(f"cell {label}: eer={report['eer_percent']}% "
                        f"min_dcf={report['min_dcf']}")
+    finally:
+        write_rows(results_path, rows)
     return results_path

@@ -1,16 +1,24 @@
 """SEVX container format: bit-exact round trips and corruption diagnostics."""
 
+import ast
+import glob
 import hashlib
+import os
+import re
+import signal
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sevx
 from sevx.checkpoint import (MAGIC, VERSION, ContainerError, list_from_text, list_to_text,
-                             metadata_from_text, metadata_to_text, read_container,
-                             write_container)
+                             metadata_from_text, metadata_to_text, read_container, read_rows,
+                             write_container, write_rows)
 from sevx.config import RunConfig
 from sevx.model import AAMHead, ModelSpec, SGDOptimizer, build_model, extract_embedding, train_step
 from sevx.pipeline import load_checkpoint, save_checkpoint
@@ -286,3 +294,127 @@ class TestLoadCheckpoint:
         with pytest.raises(ContainerError,
                            match=f"corrupt metadata: lines {first} and {lineno}: key 'seed'"):
             load_checkpoint(path)
+
+
+class TestAtomicWrites:
+    """An interrupted write leaves the previous file whole."""
+
+    def _good(self, tmp_path):
+        path = str(tmp_path / "ckpt.sevx")
+        write_container(path, "k = old\n", [("w", np.arange(6, dtype=np.float32))])
+        with open(path, "rb") as f:
+            return path, f.read()
+
+    def test_exception_mid_write_keeps_old_file_and_no_sibling(self, tmp_path):
+        path, before = self._good(tmp_path)
+
+        def tensors():
+            yield "a", np.ones(4, dtype=np.float32)
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            write_container(path, "k = new\n", tensors())
+        with open(path, "rb") as f:
+            assert f.read() == before
+        assert os.listdir(tmp_path) == ["ckpt.sevx"]
+
+    def test_sigkill_mid_write_keeps_old_file_loadable(self, tmp_path):
+        path, before = self._good(tmp_path)
+        child = (
+            "import os, signal, sys\n"
+            "import numpy as np\n"
+            "from sevx.checkpoint import write_container\n"
+            "def tensors():\n"
+            "    yield 'a', np.ones(1 << 16, dtype=np.float32)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    yield 'b', np.ones(4, dtype=np.float32)\n"
+            "write_container(sys.argv[1], 'k = new\\n', tensors())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sevx.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", child, path], env=env, timeout=120)
+        assert proc.returncode == -signal.SIGKILL
+        with open(path, "rb") as f:
+            assert f.read() == before
+        meta, tensors = read_container(path)
+        assert meta == "k = old\n" and list(tensors) == ["w"]
+        assert len(glob.glob(f"{path}.*.tmp")) == 1
+
+
+class TestReadRows:
+    def test_write_rows_replaces_whole_and_reads_back(self, tmp_path):
+        path = str(tmp_path / "t.tsv")
+        write_rows(path, [("old", 1)])
+        write_rows(path, [("a", 1, "x y"), ("b", 2.5, "z")])
+        with open(path, encoding="utf-8") as f:
+            assert f.read() == "a\t1\tx y\nb\t2.5\tz\n"
+        assert read_rows(path, 3, lambda *fields: fields) == [("a", "1", "x y"), ("b", "2.5", "z")]
+
+    def test_blank_lines_skipped_and_last_field_keeps_whitespace(self, tmp_path):
+        path = str(tmp_path / "m.tsv")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\nu1\tspk1\t/data/my corpus/u1.wav\n   \nu2 spk2  p2 \n")
+        assert read_rows(path, 3, lambda *fields: fields) == [
+            ("u1", "spk1", "/data/my corpus/u1.wav"), ("u2", "spk2", "p2")]
+
+    def test_short_line_and_parse_error_name_file_and_line(self, tmp_path):
+        path = str(tmp_path / "r.tsv")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("1 2\n\n3\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: expected 2 fields, got 1")):
+            read_rows(path, 2, lambda a, b: (a, b))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:1: invalid literal")):
+            read_rows(path, 2, lambda a, b: int(a + "x"))
+
+
+def write_mode_calls(source: str):
+    """Lines of ``open(...)``/``wave.open(...)`` calls in ``source`` whose mode
+    may write (a ``w``, ``a``, ``x`` or ``+`` in it, or a mode that is not a
+    constant), other than those inside ``replaced_atomically`` and those on a
+    file object bound by ``with replaced_atomically(...) as name``."""
+    tree = ast.parse(source)
+    exempt, atomic_names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "replaced_atomically":
+            exempt.update(id(n) for n in ast.walk(node))
+        if isinstance(node, ast.withitem) and isinstance(node.optional_vars, ast.Name) \
+                and isinstance(node.context_expr, ast.Call) \
+                and getattr(node.context_expr.func, "id", None) == "replaced_atomically":
+            atomic_names.add(node.optional_vars.id)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id == "open"
+                or isinstance(func, ast.Attribute) and func.attr == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        writes = not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+        on_atomic = node.args and isinstance(node.args[0], ast.Name) \
+            and node.args[0].id in atomic_names
+        if writes and not on_atomic:
+            found.append(node.lineno)
+    return found
+
+
+class TestWritePolicy:
+    def test_only_the_atomic_writer_opens_files_for_writing(self):
+        package = os.path.dirname(os.path.abspath(sevx.__file__))
+        sites = []
+        for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+            with open(path, encoding="utf-8") as f:
+                sites += [f"{os.path.basename(path)}:{line}" for line in write_mode_calls(f.read())]
+        assert sites == [], f"write outside checkpoint.replaced_atomically: {sites}"
+
+    @pytest.mark.parametrize("source, lines", [
+        ("open(p, 'w')", [1]),
+        ("open(p, mode='ab')", [1]),
+        ("wave.open(p, 'wb')", [1]),
+        ("open(p, 'r+')", [1]),
+        ("open(p, m)", [1]),
+        ("open(p)\nopen(p, 'rb')\nwave.open(p, 'rb')", []),
+        ("with replaced_atomically(p, binary=True) as f, wave.open(f, 'wb') as w:\n    pass", []),
+    ])
+    def test_policy_checker(self, source, lines):
+        assert write_mode_calls(source) == lines

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sevx.checkpoint import metadata_from_text, metadata_to_text, read_container, write_container
+from sevx import pipeline
 from sevx.cli import main
 from sevx.config import RunConfig
 from sevx.model import AAMHead, ModelSpec, build_model
@@ -17,6 +18,7 @@ from sevx.pipeline import (cell_label, grid_cells, parse_grid, generate_trials,
                            load_corpus, save_checkpoint)
 from sevx.se import SEConfig
 from sevx.features import Utterance
+from sevx.tensor import NumericError
 
 
 MICRO_CFG = """
@@ -239,6 +241,26 @@ class TestTrainScoreMetricsAnalyze:
         assert summary["params_se"] == summary["params_se_closed_form"]
         assert int(summary["params_total"]) > int(summary["params_se"])
 
+    def test_failed_step_keeps_the_finished_steps_in_the_log(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "abort")
+        cfg = write_cfg(tmp_path, MICRO_CFG.replace("optim.epochs = 1", "optim.epochs = 2")
+                        + f"\nout = {out}\n")
+        assert main(["make-data", "--config", cfg]) == 0
+        real_step, calls = pipeline.train_step, []
+
+        def step_failing_third(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericError("loss is nan")
+            return real_step(*args)
+
+        monkeypatch.setattr(pipeline, "train_step", step_failing_third)
+        assert main(["train", "--config", cfg]) == 2
+        log = open(os.path.join(out, "train", "train_log.tsv")).read().splitlines()
+        assert log[0] == "step\tepoch\tloss\tlr\twall_time"
+        assert [line.split("\t")[:2] for line in log[1:]] == [["1", "0"], ["2", "0"]]
+        assert not os.path.exists(os.path.join(out, "train", "checkpoint.sevx"))
+
     def test_nan_embedding_is_numeric_failure(self, micro_run, capsys):
         cfg, out = micro_run
         assert main(["train", "--config", cfg]) == 0
@@ -291,6 +313,19 @@ class TestMetricsCommand:
         captured = capsys.readouterr()
         assert "eer_percent" not in captured.out
         assert "non-finite score nan for trial a b" in captured.err
+
+    def test_trial_scored_twice_is_usage_error(self, tmp_path, capsys):
+        trials = str(tmp_path / "trials.txt")
+        scores = str(tmp_path / "scores.txt")
+        with open(trials, "w") as f:
+            f.write("a b target\nc d nontarget\n")
+        with open(scores, "w") as f:
+            f.write("a b 0.5\nc d 0.1\na b 0.9\n")
+        cfg = write_cfg(tmp_path, f"out = {tmp_path}/m\n")
+        assert main(["metrics", "--config", cfg, "--scores", scores, "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "eer_percent" not in captured.out
+        assert f"{scores}:3: trial a b scored twice" in captured.err
 
     def test_missing_scores_is_exit_3(self, tmp_path):
         cfg = write_cfg(tmp_path, f"out = {tmp_path}/mm\n")
@@ -378,6 +413,22 @@ class TestAblate:
         direct = open(os.path.join(out, "metrics", "metrics.tsv")).read()
         assert open(cell_metrics).read() == direct
 
+    def test_failed_cell_keeps_the_finished_rows(self, micro_run, monkeypatch):
+        cfg, out = micro_run
+        real_training, calls = pipeline.run_training, []
+
+        def training_failing_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("loss is nan")
+            return real_training(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_training", training_failing_second)
+        assert main(["ablate", "--config", cfg, "--grid", "stages=1|1,2"]) == 2
+        rows = open(os.path.join(out, "ablation", "results.tsv")).read().splitlines()
+        assert rows[0].startswith("cell\tstages")
+        assert [r.split("\t")[0] for r in rows[1:]] == ["stages=1"]
+
     def test_deleted_cell_reproduces_bit_exactly(self, micro_run):
         cfg, out = micro_run
         grid = "stages=1|1,2"
@@ -394,7 +445,7 @@ class TestWavManifest:
         import numpy as np
         from sevx.features import write_wav, SAMPLE_RATE
 
-        cdir = str(tmp_path / "corpus")
+        cdir = str(tmp_path / "wav corpus")  # a manifest path may hold a space
         os.makedirs(cdir)
         t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
         for i, freq in enumerate((300.0, 900.0)):

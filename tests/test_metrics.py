@@ -1,5 +1,7 @@
 """Detection metrics against an independent brute-force threshold oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,28 @@ class TestFiles:
             f.write("a b\n")
         with pytest.raises(ValueError, match="3 fields"):
             read_trials(path)
+
+    def test_bad_trial_label_names_file_and_line(self, tmp_path):
+        path = str(tmp_path / "trials.tsv")
+        with open(path, "w") as f:
+            f.write("a b target\nc d impostor\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: trial label")):
+            read_trials(path)
+
+    def test_bad_score_names_file_and_line(self, tmp_path):
+        path = str(tmp_path / "scores.tsv")
+        with open(path, "w") as f:
+            f.write("a b 0.5\nc d x\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: could not convert")):
+            read_scores(path)
+
+    def test_trial_scored_twice_rejected(self, tmp_path):
+        path = str(tmp_path / "scores.tsv")
+        with open(path, "w") as f:
+            f.write("a b 0.5\na b 0.9\n")
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{path}:2: trial a b scored twice")):
+            read_scores(path)
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="target"):
