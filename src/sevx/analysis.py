@@ -150,9 +150,3 @@ def profiles_to_tsv(profiles: dict[int, StageProfile]) -> str:
             for ch in order:
                 rows.append(f"{stage}\t{spk}\t{int(ch)}\t{p.mean[i, ch]:.6f}\t{p.std[i, ch]:.6f}")
     return "\n".join(rows) + "\n"
-
-
-def profiles_to_tensors(profiles: dict[int, StageProfile]):
-    """(name, matrix) pairs: per-stage channels x speakers mean activations."""
-    return [(f"stage{stage}.mean_activations", profiles[stage].mean.T.astype(np.float32))
-            for stage in sorted(profiles)]

@@ -138,8 +138,7 @@ def cmd_metrics(args, config: RunConfig) -> int:
 
 
 def cmd_analyze(args, config: RunConfig) -> int:
-    ckpt = _checkpoint_path(args, config)
-    model, _head, _meta = load_checkpoint(ckpt)
+    model, _head, _meta = load_checkpoint(_checkpoint_path(args, config))
     utts = load_corpus(corpus_dir(config))
     records = analysis_mod.capture_excitations(
         model, ((u.utterance_id, u.speaker_id, u.features) for u in utts))
@@ -150,9 +149,6 @@ def cmd_analyze(args, config: RunConfig) -> int:
         f.write(report)
     with replaced_atomically(os.path.join(out_dir, "analysis.tsv")) as f:
         f.write(analysis_mod.profiles_to_tsv(profiles))
-    write_container(os.path.join(out_dir, "profiles.sevx"),
-                    metadata_to_text({"analysis.checkpoint": ckpt}),
-                    analysis_mod.profiles_to_tensors(profiles))
     _print(report.rstrip("\n"))
     _print(f"analysis -> {out_dir}")
     return EXIT_OK

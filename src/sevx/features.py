@@ -45,14 +45,13 @@ class SynthSpec:
     seed: int = 1234
 
     def __post_init__(self):
-        if not self.num_speakers >= 2:
-            raise ValueError("num_speakers must be >= 2")
-        if not self.noise_level >= 0:
-            raise ValueError(f"noise_level must be >= 0, got {self.noise_level!r}")
-        if not (self.utts_per_speaker >= 1 and self.frames_per_utt >= 1):
-            raise ValueError("utts_per_speaker and frames_per_utt must be >= 1")
-        if not self.speaker_signature_rank >= 1:
-            raise ValueError("speaker_signature_rank must be >= 1")
+        for key, value, low in (("num_speakers", self.num_speakers, 2),
+                                ("utts_per_speaker", self.utts_per_speaker, 1),
+                                ("frames_per_utt", self.frames_per_utt, 1),
+                                ("signature_rank", self.speaker_signature_rank, 1),
+                                ("noise_level", self.noise_level, 0)):
+            if not value >= low:
+                raise ValueError(f"data.{key} must be >= {low}, got {value!r}")
 
 
 def hz_to_mel(hz):

@@ -41,9 +41,10 @@ class DCFParams:
 
     def __post_init__(self):
         if not 0 < self.p_target < 1:
-            raise ValueError("p_target must be in (0, 1)")
-        if not (0 < self.cost_miss < np.inf and 0 < self.cost_fa < np.inf):
-            raise ValueError("costs must be positive and finite")
+            raise ValueError(f"eval.p_target must be in (0, 1), got {self.p_target!r}")
+        for key, cost in (("eval.c_miss", self.cost_miss), ("eval.c_fa", self.cost_fa)):
+            if not 0 < cost < np.inf:
+                raise ValueError(f"{key} must be positive and finite, got {cost!r}")
 
 
 class ScoreSet:

@@ -275,11 +275,11 @@ def load_checkpoint(path: str) -> tuple[SpeakerEmbedder, AAMHead, dict[str, str]
             f"(missing {missing}, unexpected {extra})")
     for name, arr in arrays:
         value = tensors[name]
-        if value.size != arr.size:
+        if value.shape != arr.shape:
             raise ContainerError(
-                f"{path}: tensor {name!r} holds {value.size} values, "
+                f"{path}: tensor {name!r} has shape {value.shape}, "
                 f"the model expects shape {arr.shape}")
-        arr[...] = value.reshape(arr.shape)
+        arr[...] = value
     return model, head, meta
 
 

@@ -10,14 +10,11 @@ the output tensor, and ``backward`` replays the rules in reverse topological
 order. A rule is a pure function of the output gradient: it returns one
 gradient per parent, in the parent's dtype, or ``None`` for a parent it
 skips. ``backward`` alone stores them. It sums a broadcast contribution down
-to its parent's shape. The first sum into a gradient is out of place; later
-ones add in place into that sum, an array the same call allocated, so an
-array a rule returned, or a ``.grad`` stored before the call, is never
-written. A leaf's ``.grad`` may therefore be a shared, read-only view (of
-another leaf's gradient, say) that is only ever read. Leaf gradients
-accumulate across ``backward`` calls; call ``zero_grad`` (or drop the graph)
-between steps. An interior node's gradient is freed once its rule has run,
-so only leaves keep one; the tape itself stays, and can be replayed.
+to its parent's shape. It never writes into an array after creating it, so a
+stored ``.grad`` may be a shared, read-only view. Leaf gradients accumulate
+across ``backward`` calls; call ``zero_grad`` (or drop the graph) between
+steps. An interior node's gradient is freed once its rule has run, so only
+leaves keep one; the tape itself stays, and can be replayed.
 """
 
 from __future__ import annotations
@@ -236,26 +233,15 @@ class Tensor:
             if node._parents:
                 node.grad = None
         self.grad = np.ones_like(self.data)
-        # sums this call allocated that no rule has seen yet, by id; holding
-        # them keeps each id unique
-        owned: dict[int, np.ndarray] = {}
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
-            # node.grad is complete now, and a rule may hand it on as it is (add does)
-            owned.pop(id(node.grad), None)
             for parent, g in zip(node._parents, node._backward(node.grad), strict=True):
                 if g is None or not parent.requires_grad:
                     continue
                 if g.shape != parent.shape:
                     g = _unbroadcast(g, parent.shape)
-                if parent.grad is None:
-                    parent.grad = g
-                elif id(parent.grad) in owned:
-                    parent.grad += g
-                else:
-                    parent.grad = parent.grad + g
-                    owned[id(parent.grad)] = parent.grad
+                parent.grad = g if parent.grad is None else parent.grad + g
             node.grad = None    # interior: its rule has used it
 
     # ---- elementwise arithmetic ----------------------------------------
@@ -327,14 +313,9 @@ class Tensor:
         a, b = self.data, other.data
         return Tensor._from_op(a @ b, (self, other), lambda g: (g @ b.T, a.T @ g))
 
-    def transpose(self, *axes):
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inv = np.argsort(axes)
-        return Tensor._from_op(np.ascontiguousarray(self.data.transpose(axes)), (self,),
-                               lambda g: (g.transpose(inv),))
+    def transpose(self):
+        """Copy with the axes reversed."""
+        return Tensor._from_op(np.ascontiguousarray(self.data.T), (self,), lambda g: (g.T,))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sevx.analysis import (ExcitationRecord, across_speaker_profile, capture_excitations,
-                           profiles_to_tensors, profiles_to_tsv, render_report)
+                           profiles_to_tsv, render_report)
 from sevx.model import ModelSpec, build_model, extract_embedding
 from sevx.se import SEConfig, record_excitations
 from sevx.tensor import ShapeError, Tensor
@@ -205,9 +205,3 @@ class TestReporting:
         assert lines[0] == "stage\tspeaker\tchannel\tmean\tstd"
         # 2 stages x 3 speakers x 4 channels
         assert len(lines) == 1 + 2 * 3 * 4
-
-    def test_matrix_dump_shapes(self):
-        profiles, _ = self._profiles()
-        tensors = dict(profiles_to_tensors(profiles))
-        assert tensors["stage1.mean_activations"].shape == (4, 3)
-        assert tensors["stage4.mean_activations"].shape == (4, 3)

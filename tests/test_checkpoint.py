@@ -263,6 +263,18 @@ class TestLoadCheckpoint:
         with pytest.raises(ContainerError, match=name):
             load_checkpoint(path)
 
+    def test_transposed_tensor_is_rejected(self, tmp_path):
+        # same value count, wrong layout: loading it would scramble the weights
+        _model, path = self._trained_checkpoint(tmp_path)
+        meta, tensors = read_container(path)
+        weight = tensors["embed.weight"]
+        assert weight.shape[0] != weight.shape[1]
+        tensors["embed.weight"] = np.ascontiguousarray(weight.T)
+        write_container(path, meta, tensors.items())
+        with pytest.raises(ContainerError, match=r"'embed.weight' has shape \((\d+), (\d+)\), "
+                                                 r"the model expects shape \(\2, \1\)"):
+            load_checkpoint(path)
+
     def test_unexpected_tensor_is_named(self, tmp_path):
         # a checkpoint from before the convs lost their biases holds tensors
         # the model no longer has

@@ -161,6 +161,17 @@ class TestExitCodes:
         assert main(["extract", "--out", str(tmp_path / "out"), "--checkpoint", path]) == 3
         assert "key 'se.reduction' set twice" in capsys.readouterr().err
 
+    def test_transposed_checkpoint_tensor_is_corrupt_artifact(self, tmp_path, capsys):
+        path = str(tmp_path / "ckpt.sevx")
+        spec = ModelSpec(scale_factor=1 / 16, num_speakers=3)
+        save_checkpoint(path, build_model(spec, SEConfig(), seed=1),
+                        AAMHead(3, spec.embedding_dim, seed=1), RunConfig())
+        meta, tensors = read_container(path)
+        tensors["embed.weight"] = np.ascontiguousarray(tensors["embed.weight"].T)
+        write_container(path, meta, tensors.items())
+        assert main(["extract", "--out", str(tmp_path / "out"), "--checkpoint", path]) == 3
+        assert "tensor 'embed.weight' has shape" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, message", [
         ("seed = 1\nse.stages = 1,2\nseed = 2\n", "lines 1 and 3: key 'seed' set twice"),
         ("se.stages = 1,x\n", "se.stages: expected a comma list of int values, got '1,x'"),
@@ -231,7 +242,7 @@ class TestTrainScoreMetricsAnalyze:
         report_text = open(os.path.join(out, "analysis", "report.txt")).read()
         assert "across_speaker_dispersion" in report_text
         assert os.path.exists(os.path.join(out, "analysis", "analysis.tsv"))
-        assert os.path.exists(os.path.join(out, "analysis", "profiles.sevx"))
+        assert not os.path.exists(os.path.join(out, "analysis", "profiles.sevx"))
 
     def test_train_summary_census_line(self, micro_run):
         cfg, out = micro_run

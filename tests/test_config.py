@@ -109,7 +109,9 @@ class TestParsing:
         ("se.stages", "1,x"), ("se.stages", "1,,2"), ("se.stages", "1,9"), ("se.pooling", "median"),
         ("se.integration", "diagonal"), ("se.reduction", "0"), ("se.hidden_layers", "0"),
         ("model.scale_factor", "-1"), ("model.temporal_pooling", "max"), ("optim.lr", "fast"),
-        ("data.num_speakers", "1")])
+        ("data.num_speakers", "1"), ("data.utts_per_speaker", "0"), ("data.frames_per_utt", "0"),
+        ("data.signature_rank", "0"), ("data.noise_level", "-0.1"), ("eval.p_target", "1.5"),
+        ("eval.c_miss", "0"), ("eval.c_fa", "inf")])
     def test_error_names_its_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^(invalid config: )?{key}[: ]"):
             RunConfig({key: value})

@@ -31,3 +31,11 @@ def test_config_parity_case_lines(scripts):
     assert any(line.startswith("  SEConfig(") and "stages=frozenset({1, 2})" in line
                for line in accepted)
     assert case_lines("se.stages", "1,x") == ["se.stages = '1,x': rejected"]
+
+
+def test_config_parity_runs_every_case(scripts, capsys):
+    parity = scripts["config_parity"]
+    assert parity.main() == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("  ")]
+    assert len(verdicts) == len(parity.SCHEMA) * len(parity.VALUES) == 27 * 38
+    assert all(line.endswith((": accepted", ": rejected")) for line in verdicts)
