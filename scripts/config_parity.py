@@ -2,10 +2,11 @@
 """Accept/reject table of the config schema, one key at a time.
 
 Every ``SCHEMA`` key is set on its own to each value of ``VALUES``. Each case
-prints one ``key = value: accepted|rejected`` line; an accepted case is
-followed by its frozen config (``render()``), the four specs it builds and
-its learning-rate milestones, each line indented. Diffing the output of two
-commits shows every config whose meaning changed between them.
+prints one ``key = value: accepted`` or ``key = value: rejected: <message>``
+line; an accepted case is followed by its frozen config (``render()``), the
+four specs it builds and its learning-rate milestones, each line indented.
+Diffing the output of two commits shows every config whose meaning or error
+message changed between them.
 
 Usage: python scripts/config_parity.py > parity.txt
 """
@@ -25,8 +26,8 @@ VALUES = (["0", "1", "2", "-1", "0.5", "1.5", "nan", "inf", "", "x", "1,2", "1,9
 def case_lines(key: str, value: str) -> list[str]:
     try:
         cfg = RunConfig({key: value})
-    except ConfigError:
-        return [f"{key} = {value!r}: rejected"]
+    except ConfigError as exc:
+        return [f"{key} = {value!r}: rejected: {exc}"]
     views = [cfg.model_spec(), cfg.se_config(), cfg.synth_spec(), cfg.dcf_params(),
              cfg.lr_milestones()]
     return ([f"{key} = {value!r}: accepted"]

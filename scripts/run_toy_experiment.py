@@ -35,7 +35,7 @@ def main() -> int:
 
     for step in (["make-data"], ["train"], ["score"], ["metrics"], ["analyze"]):
         rc = sevx_main(["--sequential"] + step + ["--config", cfg_path])
-        if rc != 0 and not (step == ["analyze"]):
+        if rc != 0:
             return rc
 
     if args.analyze_all_stages:

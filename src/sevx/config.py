@@ -55,7 +55,7 @@ SCHEMA: dict[str, _Field] = {
     "optim.epochs": _Field(int, 30, _positive),
     "optim.lr_decay_milestones": _Field(str, "0.5,0.75"),
     "optim.lr_decay_factor": _Field(float, 0.1, _positive),
-    "data.num_speakers": _Field(int, SynthSpec.num_speakers, lambda x: x >= 2),
+    "data.num_speakers": _Field(int, SynthSpec.num_speakers),
     "data.utts_per_speaker": _Field(int, SynthSpec.utts_per_speaker),
     "data.frames_per_utt": _Field(int, SynthSpec.frames_per_utt),
     "data.signature_rank": _Field(int, SynthSpec.speaker_signature_rank),
@@ -124,7 +124,8 @@ class RunConfig:
         if any(not 0 < m < 1 for m in self._milestones):
             raise ConfigError("optim.lr_decay_milestones must lie in (0, 1)")
         try:
-            for build in (self.model_spec, self.se_config, self.synth_spec, self.dcf_params):
+            # synth_spec first: it names data.num_speakers, which model_spec also checks
+            for build in (self.synth_spec, self.dcf_params, self.model_spec, self.se_config):
                 build()
         except ValueError as exc:
             raise ConfigError(f"invalid config: {exc}") from exc

@@ -7,11 +7,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from .checkpoint import list_from_text, list_to_text, value_from_text
-from .nn import BatchNorm2d, Conv2d, Linear, rng_for, temporal_stats_pool
+from .features import N_MELS
+from .nn import BatchNorm2d, Conv2d, Linear, rng_for, temporal_stats_pool, uniform_fan_in
 from .se import SEConfig, SEUnit, se_apply
 from .tensor import NumericError, ShapeError, Tensor, no_grad
 
@@ -32,7 +34,7 @@ class ModelSpec:
     stage_channels: tuple[int, ...] = (128, 128, 256, 256)
     stage_strides: tuple[int, ...] = (1, 2, 2, 2)
     stem_channels: int = 128
-    input_mel_bins: int = 60
+    input_mel_bins: int = N_MELS
     segment_frames: int = 400
     embedding_dim: int = 256
     num_speakers: int = 20
@@ -189,12 +191,11 @@ class SpeakerEmbedder:
                 in_ch = out_ch
             self.stages.append(blocks)
 
-        # flatten width after pooling: channels * freq (all stride-2 stages halve freq)
-        freq_out = spec.input_mel_bins
-        for s in spec.stage_strides:
-            if s == 2:
-                freq_out = (freq_out + 2 - 3) // 2 + 1
-        flat = in_ch * freq_out * (2 if spec.temporal_pooling == "mean_std" else 1)
+        # flatten width after pooling: channels * freq after every main-path conv
+        freq = spec.input_mel_bins
+        for conv in [self.stem_conv] + [c for b in chain(*self.stages) for c in (b.conv1, b.conv2)]:
+            freq = conv.output_size(freq, MIN_FRAMES)[0]
+        flat = in_ch * freq * (2 if spec.temporal_pooling == "mean_std" else 1)
         self.flatten_dim = flat
         self.embed = Linear(flat, spec.embedding_dim, rng=rng_for(seed, "embed"), dtype=dtype)
 
@@ -220,16 +221,14 @@ class SpeakerEmbedder:
     def named_parameters(self):
         yield from self.stem_conv.named_parameters("stem.conv")
         yield from self.stem_bn.named_parameters("stem.bn")
-        for si, blocks in enumerate(self.stages):
-            for bi, block in enumerate(blocks):
-                yield from block.named_parameters(f"stage{si + 1}.block{bi}")
+        for block in chain(*self.stages):
+            yield from block.named_parameters(block.name)
         yield from self.embed.named_parameters("embed")
 
     def named_buffers(self):
         yield from self.stem_bn.named_buffers("stem.bn")
-        for si, blocks in enumerate(self.stages):
-            for bi, block in enumerate(blocks):
-                yield from block.named_buffers(f"stage{si + 1}.block{bi}")
+        for block in chain(*self.stages):
+            yield from block.named_buffers(block.name)
 
     def parameter_count(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
@@ -285,9 +284,8 @@ class AAMHead:
         self.scale = scale
         self.margin = margin
         rng = rng if rng is not None else rng_for(seed, "head.class_weights")
-        bound = 1.0 / math.sqrt(embedding_dim)
         self.class_weights = Tensor(
-            rng.uniform(-bound, bound, size=(num_speakers, embedding_dim)).astype(dtype),
+            uniform_fan_in(rng, embedding_dim, (num_speakers, embedding_dim), dtype),
             requires_grad=True, dtype=dtype)
 
     def named_parameters(self):

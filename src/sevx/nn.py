@@ -9,7 +9,8 @@ full-scale stack's per-stage output sizes on their intended grid.
 Convolution works on a channel-major, zero-padded copy of its input split
 into stride phases: each tap of the kernel is then a contiguous column window
 of one phase, so the forward pass is one GEMM per column block of a stack of
-those windows and the backward pass one GEMM per tap. Neither holds a
+those windows and the backward pass one GEMM per tap; the output is cropped
+from the grid that backward pads the output gradient onto. Neither holds a
 kernel-squared column matrix of the whole input (the low-memory GEMM family
 of Anderson et al., arXiv 1709.03395). The tape keeps no copy of the input:
 backward rebuilds the phase buffer from the conv's parent, as batch norm
@@ -42,7 +43,7 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(name.encode())]))
 
 
-def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape: tuple, dtype) -> np.ndarray:
+def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape: tuple, dtype) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
@@ -56,7 +57,7 @@ class Linear:
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(
-            _uniform_fan_in(rng, in_features, (out_features, in_features), dtype),
+            uniform_fan_in(rng, in_features, (out_features, in_features), dtype),
             requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
@@ -96,13 +97,13 @@ class Conv2d:
     Forward walks the n_out columns in blocks of BLOCK_COLUMNS: one strided
     copy per phase fills a (cin, k, k, block) stack of the k*k windows, and one
     GEMM of the (cout, cin*k*k) weights writes the block's output columns; the
-    output is cropped from the grid. Backward places the output gradient once
-    on a zero grid; dW is one GEMM per tap against that tap's window, and dX
-    adds one GEMM per tap into the phase grid, in tap order, before the padding
-    is dropped. The phase buffer is freed after the blocks and rebuilt in
-    backward for dW only: the tape keeps no copy of the input. There is no bias:
-    each model conv feeds a batch norm, which cancels it; BN's beta is the
-    per-channel shift. ``bias`` is accepted only as False.
+    output is cropped from the (Fg, Tg) grid by the slice with which backward
+    pads the output gradient onto a zero grid. dW is one GEMM per tap against
+    that tap's window, and dX adds one GEMM per tap into the phase grid, in tap
+    order, before the padding is dropped. The phase buffer is freed after the
+    blocks and rebuilt in backward for dW only: the tape keeps no copy of the
+    input. There is no bias: each model conv feeds a batch norm, which cancels
+    it; BN's beta is the per-channel shift. ``bias`` is accepted only as False.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
@@ -118,9 +119,14 @@ class Conv2d:
         self.padding = tuple(padding) if padding is not None else (kernel // 2, kernel // 2)
         fan_in = in_channels * kernel * kernel
         self.weight = Tensor(
-            _uniform_fan_in(rng, fan_in, (out_channels, in_channels, kernel, kernel), dtype),
+            uniform_fan_in(rng, fan_in, (out_channels, in_channels, kernel, kernel), dtype),
             requires_grad=True, dtype=dtype)
         self.bias = None
+
+    def output_size(self, f: int, t: int) -> tuple[int, int]:
+        """(freq, time) size of the output for an (f, t) input."""
+        return tuple((n + 2 * p - self.kernel) // s + 1
+                     for n, p, s in zip((f, t), self.padding, self.stride))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
@@ -132,8 +138,7 @@ class Conv2d:
         k, cout = self.kernel, self.out_channels
         sf, st = self.stride
         pf, pt = self.padding
-        fo = (f + 2 * pf - k) // sf + 1
-        to = (t + 2 * pt - k) // st + 1
+        fo, to = self.output_size(f, t)
         if fo <= 0 or to <= 0:
             raise ShapeError(
                 f"conv2d output would be empty for input {x.shape} with kernel {k}x{k}")
@@ -161,7 +166,7 @@ class Conv2d:
         flat = phase_grid()
         item = flat.itemsize
         w2 = weight.data.reshape(cout, cin * k * k)
-        y = np.empty((cout, n_out), dtype=x.dtype)
+        y = np.empty((cout, b * fg * tg), dtype=x.dtype)
         block = np.empty(cin * k * k * min(BLOCK_COLUMNS, n_out), dtype=x.dtype)
         for c0 in range(0, n_out, BLOCK_COLUMNS):
             bc = min(BLOCK_COLUMNS, n_out - c0)
@@ -173,9 +178,7 @@ class Conv2d:
                     (ph.strides[0], tg * item, item, item))
             np.matmul(w2, buf.reshape(cin * k * k, bc), out=y[:, c0:c0 + bc])
         del block, buf, flat
-        on_grid = as_strided(y, (cout, b, fo, to), (n_out * item, fg * tg * item, tg * item, item))
-        on_grid = on_grid.transpose(1, 0, 2, 3)
-        out = np.ascontiguousarray(on_grid)
+        out = np.ascontiguousarray(y.reshape(cout, b, fg, tg)[:, :, :fo, :to].transpose(1, 0, 2, 3))
 
         wdata, xshape, w_grad = weight.data, x.shape, weight.requires_grad
 

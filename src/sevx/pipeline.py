@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import (ContainerError, list_to_text, metadata_from_text, metadata_to_text,
-                         read_container, read_rows, value_from_text, write_container, write_rows)
+from .checkpoint import (ContainerError, metadata_from_text, metadata_to_text, read_container,
+                         read_rows, value_from_text, write_container, write_rows)
 from .config import ConfigError, RunConfig
 from .features import Utterance, chunk, featurize_wav, generate_synthetic_corpus
 from .metrics import (DCFParams, ScoreSet, Trial, metrics_report, read_trials, unit_rows,
@@ -130,11 +130,9 @@ def generate_trials(utts, seed: int) -> list[Trial]:
 @dataclass
 class TrainResult:
     checkpoint_path: str
-    final_loss: float
     train_accuracy: float
     params_total: int
     params_se: int
-    steps: int
 
 
 def build_training_set(utts, chunk_frames: int):
@@ -223,7 +221,7 @@ def run_training(config: RunConfig, utts, run_dir: str,
         ("steps", step)])
     if log_fn:
         log_fn(f"final train accuracy {acc:.3f} after {step} steps")
-    return TrainResult(ckpt_path, loss, acc, params_total, params_se, step)
+    return TrainResult(ckpt_path, acc, params_total, params_se)
 
 
 # ---- checkpointing ----------------------------------------------------------
@@ -258,10 +256,10 @@ def load_checkpoint(path: str) -> tuple[SpeakerEmbedder, AAMHead, dict[str, str]
         spec = ModelSpec.from_metadata(meta)
         seed = value_from_text("seed", meta.get("seed", "0"), int)
         model = build_model(spec, SEConfig.from_metadata(meta), seed=seed)
-        head = AAMHead(
-            spec.num_speakers, spec.embedding_dim, seed=seed,
-            scale=value_from_text("head.scale", meta.get("head.scale", "30.0"), float),
-            margin=value_from_text("head.margin", meta.get("head.margin", "0.4"), float))
+        # a missing head key takes AAMHead's default
+        head = AAMHead(spec.num_speakers, spec.embedding_dim, seed=seed, **{
+            name: value_from_text(f"head.{name}", meta[f"head.{name}"], float)
+            for name in ("scale", "margin") if f"head.{name}" in meta})
     except ValueError as exc:
         raise ContainerError(f"{path}: corrupt metadata: {exc}") from None
     arrays = list(_checkpoint_arrays(model, head))
@@ -370,7 +368,7 @@ def cell_label(cell: dict[str, str]) -> str:
 
 
 def cell_dirname(cell: dict[str, str]) -> str:
-    return cell_label(cell).replace(",", "_").replace("|", "-")
+    return cell_label(cell).replace(",", "_")
 
 
 def apply_cell(config: RunConfig, cell: dict[str, str]) -> RunConfig:
@@ -418,7 +416,7 @@ def run_ablation(config: RunConfig, grid_text: str, log_fn=None) -> str:
             se_cfg = cell_cfg.se_config()
             rows.append((
                 label,
-                list_to_text(sorted(se_cfg.stages)) or "-",
+                se_cfg.to_metadata()["se.stages"] or "-",
                 se_cfg.reduction_factor,
                 se_cfg.hidden_layers,
                 se_cfg.integration,

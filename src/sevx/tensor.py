@@ -300,8 +300,7 @@ class Tensor:
     # ---- linear algebra --------------------------------------------------
 
     def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            other = self._coerce(other)
+        other = self._coerce(other)
         if self.ndim != 2 or other.ndim != 2:
             raise ShapeError(
                 f"matmul requires 2-D operands, got {self.shape} and {other.shape}"

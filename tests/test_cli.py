@@ -177,7 +177,7 @@ class TestExitCodes:
         ("se.stages = 1,x\n", "se.stages: expected a comma list of int values, got '1,x'"),
         ("se.reduction = x\n", "se.reduction: cannot parse 'x'"),
         ("se.pooling = median\n", "se.pooling must be one of"),
-        ("data.num_speakers = 1\n", "data.num_speakers: invalid value 1")])
+        ("data.num_speakers = 1\n", "data.num_speakers must be >= 2, got 1")])
     def test_bad_config_line_names_its_key(self, tmp_path, capsys, text, message):
         cfg = write_cfg(tmp_path, text + f"out = {tmp_path}/o\n")
         assert main(["make-data", "--config", cfg]) == 1

@@ -116,6 +116,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^(invalid config: )?{key}[: ]"):
             RunConfig({key: value})
 
+    def test_speaker_count_error_is_the_corpus_spec_rule(self):
+        # one check for the rule, SynthSpec's; the schema does not repeat it
+        message = r"^invalid config: data\.num_speakers must be >= 2, got 1$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig({"data.num_speakers": "1"})
+
     def test_render_roundtrip(self):
         cfg = RunConfig({"seed": "42", "se.stages": "1,2,3"})
         again = RunConfig(parse_config_text(cfg.render()))

@@ -42,6 +42,17 @@ class TestAssembly:
         assert emb.shape == (1, 256)
         assert TOY.scaled_stage_channels == (16, 16, 32, 32)
 
+    @pytest.mark.parametrize("strides", [(1, 3, 2, 2), (2, 1, 1, 3)])
+    def test_flatten_width_follows_any_stride(self, strides):
+        # 60 mel bins -> 20 -> 10 -> 5 at strides (1, 3, 2, 2)
+        spec = ModelSpec(scale_factor=1 / 16, num_speakers=3, stage_strides=strides,
+                         stage_blocks=(1, 1, 1, 1))
+        model = build_model(spec, None, seed=0)
+        x = rng_of(0).normal(size=(1, 1, 60, 24)).astype(np.float32)
+        _, channels, freq, _ = model.stage_outputs(Tensor(x))[-1].shape
+        assert model.flatten_dim == channels * freq
+        assert extract_embedding(model, Tensor(x)).shape == (spec.embedding_dim,)
+
     def test_empty_stages_equals_disabled(self):
         a = build_model(TOY, SEConfig(stages=frozenset()), seed=0)
         b = build_model(TOY, None, seed=0)

@@ -1,6 +1,7 @@
 """Layer semantics: convolution vs the naive oracle, batch norm, pooling."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevx import nn
+from sevx.gradcheck import check_gradients
 from sevx.model import BasicBlock
 from sevx.nn import (BN_EPS, BN_MOMENTUM, BatchNorm2d, Conv2d, Linear, conv2d_reference,
                      temporal_stats_pool)
@@ -95,6 +97,29 @@ class TestConv2d:
         monkeypatch.setattr(np, "matmul", gemm)
         check_against_reference(stride, kernel, shape)
         assert len(widths) >= 2 and set(widths[:-1]) == {7} and 0 < widths[-1] < 7
+
+    @given(b=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3),
+           f=st.integers(3, 9), t=st.integers(3, 9), kernel=st.sampled_from([1, 3]),
+           stride=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_grid_crop_matches_reference_and_finite_differences(self, b, cin, cout, f, t,
+                                                                kernel, stride, seed):
+        rng = rng_of(seed)
+        conv = Conv2d(cin, cout, kernel=kernel, stride=stride, rng=rng, dtype=np.float64)
+        x = Tensor(rng.normal(size=(b, cin, f, t)), requires_grad=True, dtype=np.float64)
+        ref = conv2d_reference(x.data, conv.weight.data, stride, conv.padding)
+        # output columns the blocks walk (the Conv2d docstring's n_out); blocks of
+        # just over half of them end every grid in a ragged block
+        fo, to = ref.shape[2:]
+        fg, tg = fo + (kernel - 1) // stride[0], to + (kernel - 1) // stride[1]
+        n_out = b * fg * tg - (fg - fo) * tg - (tg - to)
+        r = Tensor(rng.normal(size=ref.shape), dtype=np.float64)
+        with mock.patch.object(nn, "BLOCK_COLUMNS", n_out // 2 + 1):
+            np.testing.assert_allclose(conv.forward(x).data, ref, rtol=1e-10, atol=1e-12)
+            ok, max_abs, _ = check_gradients(lambda: (conv.forward(x) * r).sum(),
+                                             [x, conv.weight])
+        assert ok, f"conv gradient mismatch, max abs err {max_abs}"
 
     def test_tape_keeps_no_copy_of_the_input(self):
         # an im2col tape would keep 9 copies of the input, a phase-buffer tape one;

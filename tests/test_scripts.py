@@ -30,7 +30,9 @@ def test_config_parity_case_lines(scripts):
     assert "  se.stages = 2,1" in accepted
     assert any(line.startswith("  SEConfig(") and "stages=frozenset({1, 2})" in line
                for line in accepted)
-    assert case_lines("se.stages", "1,x") == ["se.stages = '1,x': rejected"]
+    assert case_lines("se.stages", "1,x") == ["se.stages = '1,x': rejected: invalid config: "
+                                              "se.stages: expected a comma list of int values, "
+                                              "got '1,x'"]
 
 
 def test_config_parity_runs_every_case(scripts, capsys):
@@ -38,4 +40,21 @@ def test_config_parity_runs_every_case(scripts, capsys):
     assert parity.main() == 0
     verdicts = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("  ")]
     assert len(verdicts) == len(parity.SCHEMA) * len(parity.VALUES) == 27 * 38
-    assert all(line.endswith((": accepted", ": rejected")) for line in verdicts)
+    # each rejected case carries its message
+    assert all(line.endswith(": accepted") or (": rejected: " in line and
+                                               not line.endswith(": rejected: "))
+               for line in verdicts)
+
+
+def test_toy_experiment_returns_the_failing_analyze_code(scripts, monkeypatch, tmp_path):
+    toy = scripts["run_toy_experiment"]
+    steps = []
+
+    def fake_main(argv):
+        steps.append(argv[1])
+        return 2 if argv[1] == "analyze" else 0
+
+    monkeypatch.setattr(toy, "sevx_main", fake_main)
+    monkeypatch.setattr("sys.argv", ["run_toy_experiment.py", "--out", str(tmp_path)])
+    assert toy.main() == 2
+    assert steps == ["make-data", "train", "score", "metrics", "analyze"]

@@ -51,6 +51,12 @@ class TestMatmul:
         with pytest.raises(ShapeError, match="inner dimensions"):
             t(np.ones((2, 3))) @ t(np.ones((4, 2)))
 
+    def test_dtype_mismatch_rejected(self):
+        # a float64 operand would hand the float32 leaf a float64 gradient
+        a = t(np.ones((2, 3)), grad=True, dtype=np.float32)
+        with pytest.raises(ShapeError, match="dtype mismatch: float32 vs float64"):
+            a @ t(np.ones((3, 2)))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         a = t(rng.uniform(-2, 2, (3, 4)), grad=True)
