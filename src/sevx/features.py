@@ -198,7 +198,7 @@ def generate_synthetic_corpus(spec: SynthSpec) -> list[Utterance]:
 
 def read_wav(path: str) -> np.ndarray:
     """Float32 samples in [-1, 1) of a PCM-16 mono 16 kHz little-endian WAV;
-    anything else is rejected."""
+    anything else, a file shorter than its header says included, is rejected."""
     try:
         with wave.open(path, "rb") as w:
             channels = w.getnchannels()
@@ -214,6 +214,10 @@ def read_wav(path: str) -> np.ndarray:
         raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
+    if len(raw) != n * width:
+        raise AudioFormatError(
+            f"{path}: truncated: the header says {n} frames ({n * width} bytes), "
+            f"the data holds {len(raw)} bytes")
     return np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
 
 

@@ -3,7 +3,8 @@
 The oracle runs the graph in float64 (the engine's mirror precision) and
 perturbs every leaf entry by +/-eps in place, so it is independent of the
 backward rules it checks. ``run_suite`` covers every differentiable
-operation in the package, then their compositions: a residual block with SE
+operation in the package, the in-place ReLU behind a train-mode batch norm
+and behind an add, then their compositions: a residual block with SE
 off and under each wiring, with and without the stride-2 downsample, and a
 tiny SE model through the AAM loss. It backs the ``gradcheck`` CLI command.
 """
@@ -144,16 +145,31 @@ def _op(fn: Callable[..., Tensor], *shapes: tuple[int, ...],
 
 def _layer(make: Callable[[np.random.Generator], object],
            forward: Callable[[object, Tensor], Tensor], shape: tuple[int, ...],
-           eps: float = DEFAULT_EPS) -> Case:
-    """``forward(layer, x)`` with respect to its input and the layer's own parameters."""
+           eps: float = DEFAULT_EPS,
+           prep: Callable[[np.ndarray], np.ndarray] | None = None) -> Case:
+    """``forward(layer, x)`` with respect to its input and the layer's own
+    parameters; ``prep`` adjusts the input."""
 
     def build_case(seed: int):
-        x = _leaf(_rand(np.random.default_rng(seed), *shape))
+        x = _rand(np.random.default_rng(seed), *shape)
+        x = _leaf(x if prep is None else prep(x))
         layer = make(np.random.default_rng(seed + 7))
         leaves = [x] + [p for _, p in layer.named_parameters("layer")]
         return (lambda: _projected(forward(layer, x), seed + 1)), leaves, eps
 
     return build_case
+
+
+def _off_kink(x: np.ndarray) -> np.ndarray:
+    """Entries moved at least 0.05 away from the ReLU kink at 0."""
+    return x + 0.05 * np.sign(x) + (x == 0) * 0.1
+
+
+def _mirrored_off_kink(x: np.ndarray) -> np.ndarray:
+    # a batch of two, item 1 the negated item 0: every batch-norm channel has
+    # mean 0 and no normalized entry lies within 0.05 / std of the kink
+    half = _off_kink(x[:1])
+    return np.concatenate([half, -half])
 
 
 def _aam_case(seed: int):
@@ -224,7 +240,10 @@ CASES: dict[str, Case] = {
     "broadcast": _op(lambda a, b: a * b + b, (2, 3, 4), (1, 3, 1)),
     "matmul": _op(lambda a, b: a @ b, (3, 4), (4, 2)),
     # keep entries away from the kink at 0
-    "relu": _op(Tensor.relu, (4, 5), prep=lambda x: x + 0.05 * np.sign(x) + (x == 0) * 0.1),
+    "relu": _op(Tensor.relu, (4, 5), prep=_off_kink),
+    # b outweighs a (|a| <= 2), so a + b stays at least 0.5 from the kink
+    "add_relu": _op(lambda a, b: (a + b).relu_(), (4, 5), (4, 5),
+                    prep=lambda b: b + 2.5 * np.where(b < 0, -1.0, 1.0)),
     "sigmoid": _op(Tensor.sigmoid, (4, 5)),
     "log_softmax": _op(partial(Tensor.log_softmax, axis=1), (4, 5)),
     "linear": _layer(lambda rng: Linear(5, 4, rng=rng, dtype=np.float64), Linear.forward, (3, 5)),
@@ -241,6 +260,9 @@ CASES: dict[str, Case] = {
     # eval mode (second argument False): normalized by the running statistics
     "batchnorm_eval": _layer(_bn_with_running_stats, lambda bn, x: bn.forward(x, False),
                              (2, 3, 4, 4)),
+    "batchnorm_relu": _layer(lambda rng: BatchNorm2d(3, dtype=np.float64),
+                             lambda bn, x: bn.forward(x, True).relu_(), (2, 3, 4, 4),
+                             prep=_mirrored_off_kink),
     **{f"squeeze_{p}": _op(partial(squeeze, pooling=p), (2, 3, 2, 4)) for p in POOLINGS},
     "excite": _layer(_se_unit("mean"), SEUnit.excite, (3, 4)),
     "se_apply": _layer(_se_unit("mean_std"), lambda unit, x: se_apply(x, unit), (2, 4, 2, 3)),

@@ -124,7 +124,7 @@ class BasicBlock:
             self.se = SEUnit(channels, se, name=f"{name}.se", seed=seed, dtype=dtype)
 
     def residual(self, x: Tensor, train: bool) -> Tensor:
-        h = self.bn1.forward(self.conv1.forward(x), train).relu()
+        h = self.bn1.forward(self.conv1.forward(x), train).relu_()
         return self.bn2.forward(self.conv2.forward(h), train)
 
     def shortcut(self, x: Tensor, train: bool) -> Tensor:
@@ -141,7 +141,7 @@ class BasicBlock:
         s = self.shortcut(x, train)
         if mode == "identity":
             s = se_apply(s, unit)
-        out = (r + s).relu()
+        out = (r + s).relu_()
         if mode == "post":
             out = se_apply(out, unit)
         return out
@@ -208,7 +208,7 @@ class SpeakerEmbedder:
 
     def stage_outputs(self, x: Tensor, train: bool = False) -> list[Tensor]:
         """Per-stage feature maps; ``forward_embedding`` pools the last one."""
-        h = self.stem_bn.forward(self.stem_conv.forward(x), train).relu()
+        h = self.stem_bn.forward(self.stem_conv.forward(x), train).relu_()
         outs = []
         for blocks in self.stages:
             for block in blocks:

@@ -286,9 +286,22 @@ class BatchNorm2d:
 
 def population_std(x: Tensor, mu: Tensor, axes) -> Tensor:
     """Population std of x over ``axes``, epsilon inside the sqrt; ``mu`` is
-    the mean of x over ``axes`` with those dims kept at size 1."""
+    the mean of x over ``axes`` with those dims kept at size 1.
+
+    The variance is one op over ``x - mu``, so the tape keeps no square. Its
+    rule doubles ``g / count * (x - mu)``: the same floats as a square and a
+    mean, whose backward sums that term twice.
+    """
     centered = x - mu
-    return ((centered * centered).mean(axis=axes) + STATS_EPS) ** 0.5
+    c = centered.data
+    var = (c * c).mean(axis=axes)
+    count = c.size // max(var.size, 1)
+
+    def backward(g):
+        t = np.expand_dims(g, axes) / count * c
+        return (t + t,)
+
+    return (Tensor._from_op(var, (centered,), backward) + STATS_EPS) ** 0.5
 
 
 def temporal_stats_pool(x: Tensor, mode: str = "mean") -> Tensor:

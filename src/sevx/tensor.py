@@ -14,7 +14,9 @@ to its parent's shape. It never writes into an array after creating it, so a
 stored ``.grad`` may be a shared, read-only view. Leaf gradients accumulate
 across ``backward`` calls; call ``zero_grad`` (or drop the graph) between
 steps. An interior node's gradient is freed once its rule has run, so only
-leaves keep one; the tape itself stays, and can be replayed.
+leaves keep one; the tape itself stays, and can be replayed. The one
+in-place op, ``relu_``, writes into an op output before any rule has seen
+it, so the tape keeps one array where ``relu`` keeps two.
 """
 
 from __future__ import annotations
@@ -327,6 +329,20 @@ class Tensor:
     def relu(self):
         a = self.data
         return Tensor._from_op(np.maximum(a, 0), (self,), lambda g: (g * (a > 0),))
+
+    def relu_(self):
+        """ReLU written into this op output, which must own its array, must
+        not have been read by another op yet, and must have a rule that does
+        not read it; the rule then sees ``g`` masked by ``out > 0``, which is
+        ``a > 0`` for every float, NaN and -0 included. Returns self."""
+        if (self.requires_grad and self._backward is None) or self.data.base is not None:
+            raise NumericError("relu_: in place only on a fresh op output, not a leaf or a view")
+        out = self.data
+        np.maximum(out, 0, out=out)
+        rule = self._backward
+        if rule is not None:
+            self._backward = lambda g: rule(g * (out > 0))
+        return self
 
     def sigmoid(self):
         # computed via exp(-|x|) so neither branch can overflow

@@ -1,6 +1,7 @@
 """Front-end behavior: framing arithmetic, mel filters, VAD, chunking,
 synthetic corpus determinism, WAV format policing."""
 
+import os
 import time
 
 import numpy as np
@@ -202,6 +203,16 @@ class TestWav:
             w.setframerate(16000)
             w.writeframes(b"\x00\x00\x00\x00" * 100)
         with pytest.raises(AudioFormatError, match="mono"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("cut", [2000, 2001], ids=["whole-frames", "mid-sample"])
+    def test_rejects_truncated_data(self, tmp_path, cut):
+        path = str(tmp_path / "cut.wav")
+        write_wav(path, tone(250.0, 0.5))       # 8000 frames
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) - cut)
+        with pytest.raises(AudioFormatError,
+                           match=rf"cut\.wav: truncated: .* 8000 frames .* {16000 - cut} bytes"):
             read_wav(path)
 
     def test_rejects_non_wav(self, tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from sevx import nn
 from sevx.gradcheck import check_gradients
 from sevx.model import BasicBlock
-from sevx.nn import (BN_EPS, BN_MOMENTUM, BatchNorm2d, Conv2d, Linear, conv2d_reference,
-                     temporal_stats_pool)
+from sevx.nn import (BN_EPS, BN_MOMENTUM, STATS_EPS, BatchNorm2d, Conv2d, Linear,
+                     conv2d_reference, population_std, temporal_stats_pool)
 from sevx.tensor import ShapeError, Tensor, no_grad
 
 
@@ -278,6 +278,33 @@ class TestTemporalStatsPool:
     def test_empty_time_axis_rejected(self):
         with pytest.raises(ShapeError):
             temporal_stats_pool(Tensor(np.zeros((1, 2, 3, 0), dtype=np.float32)))
+
+
+class TestPopulationStd:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axes", [3, (2, 3)])
+    def test_same_bytes_as_square_and_mean(self, axes, dtype):
+        def run(std_of):
+            x = Tensor(rng_of(10).normal(size=(2, 3, 4, 5)).astype(dtype), requires_grad=True)
+            std = std_of(x, x.mean(axis=axes, keepdims=True), axes)
+            r = Tensor(rng_of(11).normal(size=std.shape).astype(dtype))
+            (std * r).sum().backward()
+            return std.data.tobytes(), x.grad.tobytes()
+
+        def square_and_mean(x, mu, axes):
+            centered = x - mu
+            return ((centered * centered).mean(axis=axes) + STATS_EPS) ** 0.5
+
+        assert run(population_std) == run(square_and_mean)
+
+    def test_tape_keeps_no_square(self):
+        x = Tensor(rng_of(12).normal(size=(20, 16, 60, 64)).astype(np.float32),
+                   requires_grad=True)
+        mu = x.mean(axis=(2, 3), keepdims=True)
+        std, retained = traced_retained(lambda: population_std(x, mu, (2, 3)))
+        assert std.requires_grad
+        # x - mu, and nothing else of its size
+        assert retained <= 1.05 * x.data.nbytes
 
 
 class TestBasicBlock:

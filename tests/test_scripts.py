@@ -6,8 +6,11 @@ import os
 
 import pytest
 
+from sevx.tensor import _topo_order
+
 SCRIPTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
-SCRIPTS = ("config_parity", "run_ablation_tables", "run_toy_experiment", "toy_checkpoint_hashes")
+SCRIPTS = ("config_parity", "run_ablation_tables", "run_toy_experiment", "tape_census",
+           "toy_checkpoint_hashes")
 
 
 @pytest.fixture()
@@ -58,3 +61,24 @@ def test_toy_experiment_returns_the_failing_analyze_code(scripts, monkeypatch, t
     monkeypatch.setattr("sys.argv", ["run_toy_experiment.py", "--out", str(tmp_path)])
     assert toy.main() == 2
     assert steps == ["make-data", "train", "score", "metrics", "analyze"]
+
+
+def test_tape_census_finds_no_relu_input_or_square_on_the_tape(scripts, monkeypatch, capsys):
+    census = scripts["tape_census"]
+    loss = census.toy_loss(2)
+    ops = [node for node in _topo_order(loss) if node._backward is not None]
+    names = [node._backward.__qualname__ for node in ops]
+    assert "Tensor.relu_.<locals>.<lambda>" in names
+    for node, name in zip(ops, names):
+        # the SE excitation's ReLUs act on (b, d) rows; every 4-D one is in place
+        if name.startswith("Tensor.relu."):
+            assert all(a.ndim < 4 for a in census.held_arrays(node))
+        # the std pooling's variance is one op over x - mu; aam_loss squares 2-D rows
+        if name.startswith("Tensor.__mul__.") and node.ndim == 4:
+            assert node._parents[0] is not node._parents[1]
+    totals = census.census(loss)
+    assert totals["Tensor.relu_.<locals>.<lambda>"] > 0
+    monkeypatch.setattr("sys.argv", ["tape_census.py", "--batch", "2"])
+    assert census.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].endswith(" MiB  total") and len(lines) == len(totals) + 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sevx import gradcheck
 from sevx.gradcheck import check_gradients
 from sevx.model import BasicBlock
+from sevx.nn import BatchNorm2d
 from sevx.se import se_apply
 from sevx.tensor import NumericError, ShapeError, Tensor, cat, no_grad
 
@@ -86,6 +87,71 @@ class TestNonlinearities:
     def test_sqrt_domain(self):
         with pytest.raises(NumericError):
             t([-1.0]).sqrt()
+
+
+def _bn_relu_case(train: bool, dtype):
+    """(leaves, pre-ReLU op) for a batch norm whose output has exact zeros
+    (a constant channel in train mode) and -0.0 (eval mode, beta -0.0)."""
+    x = np.random.default_rng(3).normal(size=(2, 3, 4, 5)).astype(dtype)
+    x[:, 0] = 0.0
+    x[0, 0, 0, :3] = -0.0
+    x[1, 2, 1, :2] = 0.0
+    bn = BatchNorm2d(3, dtype=dtype)
+    if not train:
+        bn.running_mean = np.array([0.0, 0.5, -0.5], dtype=dtype)
+        bn.running_var = np.array([1.0, 2.0, 0.5], dtype=dtype)
+        bn.beta.data[...] = [-0.0, 0.1, -0.2]
+    leaf = Tensor(x, requires_grad=True)
+    return [leaf, bn.gamma, bn.beta], lambda: bn.forward(leaf, train)
+
+
+def _add_relu_case(dtype):
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0]
+    a = np.array([[u] * len(special) for u in special], dtype=dtype)
+    leaves = [Tensor(a, requires_grad=True), Tensor(a.T.copy(), requires_grad=True)]
+    return leaves, lambda: leaves[0] + leaves[1]
+
+
+class TestReluInPlace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["bn_train", "bn_eval", "add"])
+    def test_same_bytes_as_relu(self, case, dtype):
+        def run(inplace):
+            leaves, op = (_add_relu_case(dtype) if case == "add"
+                          else _bn_relu_case(case == "bn_train", dtype))
+            with np.errstate(invalid="ignore"):
+                pre = op()
+                out = pre.relu_() if inplace else pre.relu()
+                r = np.random.default_rng(4).normal(size=out.shape).astype(dtype)
+                (out * Tensor(r)).sum().backward()
+            return out.data.tobytes(), [leaf.grad.tobytes() for leaf in leaves]
+
+        assert run(True) == run(False)
+
+    def test_cases_put_zeros_and_nan_before_the_relu(self):
+        _, train_bn = _bn_relu_case(True, np.float32)
+        assert np.all(train_bn().data[:, 0] == 0.0)
+        _, eval_bn = _bn_relu_case(False, np.float32)
+        _, add = _add_relu_case(np.float64)
+        with np.errstate(invalid="ignore"):
+            outs = [eval_bn().data, add().data]
+        for out in outs:
+            assert np.signbit(out[out == 0.0]).any() and (~np.signbit(out[out == 0.0])).any()
+        assert np.isnan(outs[1]).any()
+
+    def test_returns_itself(self):
+        a, b = t([-1.0, 2.0], grad=True), t([0.5, 1.0])
+        h = a + b
+        assert h.relu_() is h
+        np.testing.assert_array_equal(h.data, [0.0, 3.0])
+
+    def test_leaf_or_view_rejected(self):
+        x = t([-1.0, 2.0], grad=True)
+        with pytest.raises(NumericError, match="leaf"):
+            x.relu_()
+        with pytest.raises(NumericError, match="view"):
+            x.reshape(1, 2).relu_()
+        np.testing.assert_array_equal(x.data, [-1.0, 2.0])
 
 
 class TestBackward:
