@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """SHA-256 of small checkpoints trained for three SGD steps at lr 0.05, one
-per SE variant: SE off, each of the four wirings, and max pooling. Each
-``<label>`` line is followed by an ``eval-<label>`` line: the SHA-256 of the
-float32 ``extract_embedding`` outputs of the trained model on a few fixed
-inputs.
+per variant: SE off, each of the four wirings, the max, mean and std
+squeezes, and the mean+std temporal pooling, so every mode of
+``nn.stats_pool`` is pinned. Each ``<label>`` line is followed by an
+``eval-<label>`` line: the SHA-256 of the float32 ``extract_embedding``
+outputs of the trained model on a few fixed inputs.
 
 A refactor that does not touch the math must leave every line unchanged.
 The hashes are bit-exact only with BLAS on one thread, so the script pins it
@@ -35,7 +36,8 @@ SPEAKERS = 20
 EVAL_INPUTS = 3
 VARIANTS = ([("off", {"se.stages": ""})]
             + [(w, {"se.stages": "1,2,3,4", "se.integration": w}) for w in INTEGRATIONS]
-            + [("max", {"se.stages": "1,2,3,4", "se.pooling": "max"})])
+            + [(p, {"se.stages": "1,2,3,4", "se.pooling": p}) for p in ("max", "mean", "std")]
+            + [("pool-mean_std", {"se.stages": "1,2,3,4", "model.temporal_pooling": "mean_std"})])
 
 
 def trained_sha256(overrides: dict[str, str], path: str) -> tuple[str, str]:

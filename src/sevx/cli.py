@@ -21,9 +21,9 @@ from .checkpoint import (ContainerError, metadata_to_text, replaced_atomically, 
 from .config import ConfigError, RunConfig, parse_config_text
 from .gradcheck import run_suite
 from .metrics import metrics_report, read_trials, score_set_from_files
-from .pipeline import (CHECKPOINT_NAME, MissingArtifactError, SCORES_NAME, TRIALS_NAME,
-                       corpus_dir, evaluate_checkpoint, extract_embeddings, load_checkpoint,
-                       load_corpus, run_ablation, run_training, write_corpus)
+from .pipeline import (CHECKPOINT_NAME, METRICS_NAME, MissingArtifactError, SCORES_NAME,
+                       TRIALS_NAME, corpus_dir, evaluate_checkpoint, extract_embeddings,
+                       load_checkpoint, load_corpus, run_ablation, run_training, write_corpus)
 from .se import POOLINGS
 from .tensor import NumericError
 
@@ -131,7 +131,7 @@ def cmd_metrics(args, config: RunConfig) -> int:
             raise MissingArtifactError(f"missing input: {path}")
     scoreset = score_set_from_files(trials_path, scores_path)
     report = metrics_report(scoreset, config.dcf_params())
-    write_rows(os.path.join(config.out_dir, "metrics", "metrics.tsv"), report.items())
+    write_rows(os.path.join(config.out_dir, "metrics", METRICS_NAME), report.items())
     for k, v in report.items():
         _print(f"{k}\t{v}")
     return EXIT_OK

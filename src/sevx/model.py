@@ -13,7 +13,8 @@ import numpy as np
 
 from .checkpoint import list_from_text, list_to_text, value_from_text
 from .features import N_MELS
-from .nn import BatchNorm2d, Conv2d, Linear, rng_for, temporal_stats_pool, uniform_fan_in
+from .nn import (BatchNorm2d, Conv2d, Linear, pooled_width, rng_for, temporal_stats_pool,
+                 uniform_fan_in)
 from .se import SEConfig, SEUnit, se_apply
 from .tensor import NumericError, ShapeError, Tensor, no_grad
 
@@ -45,6 +46,11 @@ class ModelSpec:
         for name in ("stage_blocks", "stage_channels", "stage_strides"):
             if len(getattr(self, name)) != 4:
                 raise ValueError(f"model.{name} must have 4 entries, got {getattr(self, name)!r}")
+        for name in ("stage_blocks", "stage_channels", "stage_strides", "stem_channels"):
+            value = getattr(self, name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if not all(isinstance(v, int) and v >= 1 for v in entries):
+                raise ValueError(f"model.{name} must hold positive integers, got {value!r}")
         for name in ("scale_factor", "input_mel_bins", "segment_frames", "embedding_dim"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(
@@ -195,7 +201,7 @@ class SpeakerEmbedder:
         freq = spec.input_mel_bins
         for conv in [self.stem_conv] + [c for b in chain(*self.stages) for c in (b.conv1, b.conv2)]:
             freq = conv.output_size(freq, MIN_FRAMES)[0]
-        flat = in_ch * freq * (2 if spec.temporal_pooling == "mean_std" else 1)
+        flat = pooled_width(spec.temporal_pooling, in_ch * freq)
         self.flatten_dim = flat
         self.embed = Linear(flat, spec.embedding_dim, rng=rng_for(seed, "embed"), dtype=dtype)
 

@@ -1,5 +1,5 @@
-"""Neural layers for the ResNet topology: 2-D convolution, batch norm,
-linear layers, and temporal statistics pooling.
+"""Neural layers for the ResNet topology: 2-D convolution, batch norm, linear
+layers, and ``stats_pool``, the one pooling op of the SE squeeze and the temporal pooling.
 
 Feature maps are (batch, channels, freq, time). All 3x3 convolutions use
 padding 1 so stride-1 layers preserve spatial dims and stride-2 layers halve
@@ -31,6 +31,7 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 # output columns per tap-stack block of the conv forward
 BLOCK_COLUMNS = 2048
+POOLINGS = ("max", "mean", "std", "mean_std")
 
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
@@ -304,26 +305,38 @@ def population_std(x: Tensor, mu: Tensor, axes) -> Tensor:
     return (Tensor._from_op(var, (centered,), backward) + STATS_EPS) ** 0.5
 
 
-def temporal_stats_pool(x: Tensor, mode: str = "mean") -> Tensor:
-    """Pool a (b, c, f, t) map over time into (b, c*f) or (b, 2*c*f).
+def pooled_width(mode: str, n: int) -> int:
+    """Width of the statistic ``stats_pool`` takes of ``n`` pooled cells."""
+    return 2 * n if mode == "mean_std" else n
 
-    Mean-only is the default; the full-scale stack's flatten width
-    (2048 = 8 * 256) has no room for a std half. mean_std doubles the
-    output. Std is population std with an epsilon inside the sqrt.
-    """
+
+def stats_pool(x: Tensor, axes: tuple[int, ...], mode: str) -> Tensor:
+    """One of POOLINGS of a (b, c, f, t) map over ``axes``, flattened to (b, n),
+    or to (b, 2n) for mean_std, every mean before every std. Std is population
+    std, epsilon inside the sqrt: one pooled position gives sqrt(STATS_EPS)."""
     if x.ndim != 4:
-        raise ShapeError(f"temporal_stats_pool expects (b, c, f, t), got {x.shape}")
-    b, c, f, t = x.shape
-    if t < 1:
-        raise ShapeError("temporal_stats_pool: empty time axis")
-    mu = x.mean(axis=3)
-    flat_mu = mu.reshape(b, c * f)
+        raise ShapeError(f"stats_pool expects (b, c, f, t), got {x.shape}")
+    if any(x.shape[a] < 1 for a in axes):
+        raise ShapeError(f"stats_pool: empty pooled axes {axes} in {x.shape}")
+    if mode not in POOLINGS:
+        raise ValueError(f"pooling must be one of {POOLINGS}, got {mode!r}")
+    b = x.shape[0]
+    n = int(np.prod([x.shape[a] for a in range(1, 4) if a not in axes]))
+    if mode == "max":
+        return x.max(axis=axes).reshape(b, n)
+    mu = x.mean(axis=axes, keepdims=True)
     if mode == "mean":
-        return flat_mu
-    if mode != "mean_std":
-        raise ValueError(f"unknown pooling mode {mode!r}")
-    std = population_std(x, mu.reshape(b, c, f, 1), axes=3) if t >= 2 else mu * 0.0
-    return cat([flat_mu, std.reshape(b, c * f)], axis=1)
+        return mu.reshape(b, n)
+    std = population_std(x, mu, axes).reshape(b, n)
+    if mode == "std":
+        return std
+    return cat([mu.reshape(b, n), std], axis=1)
+
+
+def temporal_stats_pool(x: Tensor, mode: str = "mean") -> Tensor:
+    """``stats_pool`` over time: (b, c*f), or (b, 2*c*f) for mean_std. Mean is the
+    default; the full-scale flatten width (2048 = 8 * 256) has no room for a std half."""
+    return stats_pool(x, (3,), mode)
 
 
 def conv2d_reference(x: np.ndarray, weight: np.ndarray, stride: tuple[int, int], padding: tuple[int, int]) -> np.ndarray:

@@ -15,8 +15,8 @@ from .checkpoint import (ContainerError, metadata_from_text, metadata_to_text, r
                          read_rows, value_from_text, write_container, write_rows)
 from .config import ConfigError, RunConfig
 from .features import Utterance, chunk, featurize_wav, generate_synthetic_corpus
-from .metrics import (DCFParams, ScoreSet, Trial, metrics_report, read_trials, unit_rows,
-                      write_scores, write_trials)
+from .metrics import (NONTARGET, TARGET, DCFParams, ScoreSet, Trial, metrics_report, read_trials,
+                      unit_rows, write_scores, write_trials)
 from .model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, build_model,
                     extract_embedding, se_census, train_step)
 from .nn import rng_for
@@ -99,7 +99,7 @@ def generate_trials(utts, seed: int) -> list[Trial]:
         half = (len(ids) + 1) // 2
         enroll[spk], test[spk] = ids[:half], ids[half:]
     targets = [
-        Trial(e, t, "target")
+        Trial(e, t, TARGET)
         for spk in sorted(by_spk)
         for e in enroll[spk]
         for t in test[spk]
@@ -120,7 +120,7 @@ def generate_trials(utts, seed: int) -> list[Trial]:
         if (e, t) in seen:
             continue
         seen.add((e, t))
-        nontargets.append(Trial(e, t, "nontarget"))
+        nontargets.append(Trial(e, t, NONTARGET))
     return targets + nontargets
 
 

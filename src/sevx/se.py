@@ -1,8 +1,9 @@
 """Squeeze-and-excitation units and their full ablation space.
 
-A unit squeezes each channel's (freq, time) map to a statistic, runs the
-pooled vector through a small FC stack ending in a sigmoid, and rescales
-every channel by its gate. The ablation axes are the squeeze statistic
+A unit squeezes each channel's (freq, time) map to a statistic with
+``nn.stats_pool``, the op the temporal pooling also uses, runs the pooled
+vector through a small FC stack ending in a sigmoid, and rescales every
+channel by its gate. The ablation axes are the squeeze statistic
 (max / mean / std / mean_std), the reduction factor r, the FC depth h, the
 placement relative to the residual block (standard / pre / post / identity),
 and the set of stages that carry units at all.
@@ -16,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import list_from_text, list_to_text, value_from_text
-from .nn import Linear, population_std, rng_for
-from .tensor import ShapeError, Tensor, cat
+from .nn import POOLINGS, Linear, pooled_width, rng_for, stats_pool
+from .tensor import ShapeError, Tensor
 
-POOLINGS = ("max", "mean", "std", "mean_std")
 INTEGRATIONS = ("standard", "pre", "post", "identity")
 
 
@@ -60,7 +60,7 @@ class SEConfig:
         return bool(self.stages)
 
     def input_dim(self, channels: int) -> int:
-        return 2 * channels if self.pooling == "mean_std" else channels
+        return pooled_width(self.pooling, channels)
 
     def hidden_dim(self, channels: int) -> int:
         return max(1, channels // self.reduction_factor)
@@ -103,27 +103,9 @@ _METADATA = {
 
 
 def squeeze(x: Tensor, pooling: str) -> Tensor:
-    """Aggregate each channel's (freq, time) positions into one statistic.
-
-    mean_std concatenates all channel means before all channel stds, so the
-    output dim is 2c. Std is population std with epsilon inside the sqrt.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"squeeze expects (b, c, f, t), got {x.shape}")
-    b, c, f, t = x.shape
-    if f * t < 1:
-        raise ShapeError("squeeze: empty spatial extent")
-    if pooling == "max":
-        return x.max(axis=(2, 3))
-    if pooling == "mean":
-        return x.mean(axis=(2, 3))
-    mu = x.mean(axis=(2, 3), keepdims=True)
-    std = population_std(x, mu, axes=(2, 3))
-    if pooling == "std":
-        return std
-    if pooling == "mean_std":
-        return cat([mu.reshape(b, c), std], axis=1)
-    raise ValueError(f"unknown SE pooling {pooling!r}")
+    """Aggregate each channel's (freq, time) positions into one statistic:
+    (b, c), or (b, 2c) for mean_std (see ``nn.stats_pool``)."""
+    return stats_pool(x, (2, 3), pooling)
 
 
 class SEUnit:

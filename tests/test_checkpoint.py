@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sevx
@@ -306,6 +306,53 @@ class TestLoadCheckpoint:
         with pytest.raises(ContainerError,
                            match=f"corrupt metadata: lines {first} and {lineno}: key 'seed'"):
             load_checkpoint(path)
+
+
+HEADER_KEYS = (list(ModelSpec().to_metadata()) + list(SEConfig().to_metadata())
+               + ["head.scale", "head.margin", "seed"])
+
+
+@st.composite
+def header_edits(draw):
+    """(key, text): one checkpoint header value replaced by small numbers,
+    comma lists, blank or non-numeric text."""
+    key = draw(st.sampled_from(HEADER_KEYS))
+    # load_checkpoint builds the model before it checks the tensors, and a
+    # scale factor of 1 or more builds a paper-size model or larger
+    ints = st.integers(-2, 0 if key == "model.scale_factor" else 4)
+    text = draw(st.one_of(
+        ints.map(str), st.lists(ints, min_size=1, max_size=5).map(list_to_text),
+        st.floats(-1, 0.25).map(repr),
+        st.sampled_from(["", " ", "nan", "inf", "-inf", "1,", ",", "1,,2", "mean"]),
+        st.text(alphabet="abxyz_-.,", max_size=6)))
+    return key, text
+
+
+@pytest.fixture(scope="module")
+def header_base(tmp_path_factory):
+    """Metadata and tensors of a valid scale-1/16 checkpoint."""
+    path = str(tmp_path_factory.mktemp("header") / "base.sevx")
+    spec = ModelSpec(scale_factor=1 / 16, num_speakers=3)
+    save_checkpoint(path, build_model(spec, SEConfig(), seed=1),
+                    AAMHead(3, spec.embedding_dim, seed=1), RunConfig())
+    meta, tensors = read_container(path)
+    return metadata_from_text(meta), tensors
+
+
+class TestHeaderFuzz:
+    @given(edit=header_edits())
+    @example(edit=("model.stage_strides", "1,0,2,2"))
+    @settings(max_examples=150, deadline=None)
+    def test_header_value_loads_or_raises_container_error(self, tmp_path_factory,
+                                                          header_base, edit):
+        meta, tensors = header_base
+        key, text = edit
+        path = str(tmp_path_factory.getbasetemp() / "header-fuzz.sevx")
+        write_container(path, metadata_to_text({**meta, key: text}), tensors.items())
+        try:
+            load_checkpoint(path)
+        except ContainerError:
+            pass
 
 
 class TestAtomicWrites:

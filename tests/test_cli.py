@@ -137,7 +137,8 @@ class TestExitCodes:
         ("model.scale_factor", "abc"), ("seed", "x"), ("se.pooling", "median"),
         ("head.margin", "9"), ("model.stage_blocks", "3,4"), ("head.scale", "nan"),
         ("se.reduction", "x"), ("se.stages", "1,x"), ("head.scale", "big"),
-        ("model.num_speakers", "1")])
+        ("model.num_speakers", "1"), ("model.stage_strides", "1,0,2,2"),
+        ("model.stage_channels", "8,8,16,0"), ("model.stem_channels", "0")])
     def test_undecodable_checkpoint_metadata_is_corrupt_artifact(self, tmp_path, capsys,
                                                                   key, value):
         path = str(tmp_path / "ckpt.sevx")

@@ -116,6 +116,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^(invalid config: )?{key}[: ]"):
             RunConfig({key: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("stage_blocks", (3, 0, 6, 3)), ("stage_channels", (8, 8, 16, 0)),
+        ("stage_strides", (1, 0, 2, 2)), ("stage_strides", (1, -1, 2, 2)),
+        ("stage_strides", (1, 2.0, 2, 2)), ("stem_channels", 0)])
+    def test_model_spec_error_names_its_key(self, name, value):
+        # header-only keys: a checkpoint, not a config, sets them
+        with pytest.raises(ValueError, match=f"^model.{name} must hold positive integers"):
+            ModelSpec(**{name: value})
+
     def test_speaker_count_error_is_the_corpus_spec_rule(self):
         # one check for the rule, SynthSpec's; the schema does not repeat it
         message = r"^invalid config: data\.num_speakers must be >= 2, got 1$"

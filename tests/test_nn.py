@@ -5,14 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sevx import nn
 from sevx.gradcheck import check_gradients
 from sevx.model import BasicBlock
-from sevx.nn import (BN_EPS, BN_MOMENTUM, STATS_EPS, BatchNorm2d, Conv2d, Linear,
+from sevx.nn import (BN_EPS, BN_MOMENTUM, POOLINGS, STATS_EPS, BatchNorm2d, Conv2d, Linear,
                      conv2d_reference, population_std, temporal_stats_pool)
+from sevx.se import squeeze
 from sevx.tensor import ShapeError, Tensor, no_grad
 
 
@@ -240,6 +241,27 @@ class TestBatchNorm:
         assert bn.running_mean[0] == pytest.approx(BN_MOMENTUM * 10)
 
 
+class TestStatsPool:
+    """Both callers of nn.stats_pool against numpy, every mode."""
+
+    @given(shape=st.tuples(*[st.integers(1, 4)] * 4), seed=st.integers(0, 2**32 - 1),
+           mode=st.sampled_from(POOLINGS), caller=st.sampled_from(["squeeze", "temporal"]))
+    @example(shape=(1, 2, 2, 5), seed=9, mode="mean_std", caller="temporal")
+    # one pooled position: std is sqrt(STATS_EPS) for both callers
+    @example(shape=(2, 3, 2, 1), seed=1, mode="mean_std", caller="temporal")
+    @example(shape=(2, 3, 1, 1), seed=1, mode="std", caller="squeeze")
+    @settings(max_examples=200, deadline=None)
+    def test_both_callers_match_numpy(self, shape, seed, mode, caller):
+        x = rng_of(seed).normal(size=shape)
+        pool, axes = {"squeeze": (squeeze, (2, 3)), "temporal": (temporal_stats_pool, (3,))}[caller]
+        flat = {"max": x.max(axis=axes), "mean": x.mean(axis=axes),
+                "std": np.sqrt(x.var(axis=axes) + STATS_EPS)}
+        flat = {k: v.reshape(shape[0], -1) for k, v in flat.items()}
+        flat["mean_std"] = np.concatenate([flat["mean"], flat["std"]], axis=1)
+        out = pool(Tensor(x, dtype=np.float64), mode).data
+        np.testing.assert_allclose(out, flat[mode], rtol=1e-12)
+
+
 class TestTemporalStatsPool:
     def test_constant_over_time(self):
         x = np.tile(rng_of(1).normal(size=(1, 2, 3, 1)), (1, 1, 1, 5)).astype(np.float32)
@@ -251,19 +273,6 @@ class TestTemporalStatsPool:
         x = Tensor(np.zeros((1, 256, 8, 50), dtype=np.float32))
         assert temporal_stats_pool(x, mode="mean").shape == (1, 2048)
         assert temporal_stats_pool(x, mode="mean_std").shape == (1, 4096)
-
-    def test_matches_bruteforce_stats(self):
-        x = rng_of(9).normal(size=(1, 2, 2, 5))
-        out = temporal_stats_pool(Tensor(x, dtype=np.float64), mode="mean_std").data[0]
-        expected = []
-        for c in range(2):
-            for f in range(2):
-                expected.append(np.mean([x[0, c, f, t] for t in range(5)]))
-        for c in range(2):
-            for f in range(2):
-                vals = [x[0, c, f, t] for t in range(5)]
-                expected.append(np.sqrt(np.mean((np.array(vals) - np.mean(vals)) ** 2) + 1e-8))
-        np.testing.assert_allclose(out, expected, rtol=1e-9)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
