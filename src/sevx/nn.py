@@ -9,10 +9,13 @@ full-scale stack's per-stage output sizes on their intended grid.
 Convolution works on a channel-major, zero-padded copy of its input split
 into stride phases: each tap of the kernel is then a contiguous column window
 of one phase, so the forward pass is one GEMM per column block of a stack of
-those windows and the backward pass one GEMM per tap; the output is cropped
-from the grid that backward pads the output gradient onto. Neither holds a
-kernel-squared column matrix of the whole input (the low-memory GEMM family
-of Anderson et al., arXiv 1709.03395). The tape keeps no copy of the input:
+those windows, dW one GEMM per tap and column block (the blocks keep both
+operands in cache, as in Goto and van de Geijn, ACM TOMS 2008), and dX one
+GEMM per tap; the output is cropped from the grid that backward pads the
+output gradient onto. None holds a kernel-squared column matrix of the whole
+input (the low-memory GEMM family of Anderson et al., arXiv 1709.03395).
+Train-mode batch norm runs in place (compare Rota Bulo et al., arXiv
+1712.02616). The tape keeps no copy of the input:
 backward rebuilds the phase buffer from the conv's parent, as batch norm
 rebuilds ``xhat`` (recompute for memory, Chen et al., arXiv 1604.06174).
 """
@@ -29,7 +32,7 @@ from .tensor import ShapeError, Tensor, cat
 STATS_EPS = 1e-8
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
-# output columns per tap-stack block of the conv forward
+# output columns per block of the conv forward's tap stack and of its dW
 BLOCK_COLUMNS = 2048
 POOLINGS = ("max", "mean", "std", "mean_std")
 
@@ -99,8 +102,11 @@ class Conv2d:
     copy per phase fills a (cin, k, k, block) stack of the k*k windows, and one
     GEMM of the (cout, cin*k*k) weights writes the block's output columns; the
     output is cropped from the (Fg, Tg) grid by the slice with which backward
-    pads the output gradient onto a zero grid. dW is one GEMM per tap against
-    that tap's window, and dX adds one GEMM per tap into the phase grid, in tap
+    pads the output gradient onto a zero grid. dW walks the same blocks: per
+    block and tap, one GEMM of the block's gradient columns against the tap's
+    window writes a (cout, cin) scratch, added into the tap's zeroed slice, so
+    both operands stay in cache; one block gives each tap's GEMM over all n_out
+    columns bit for bit. dX adds one GEMM per tap into the phase grid, in tap
     order, before the padding is dropped. The phase buffer is freed after the
     blocks and rebuilt in backward for dW only: the tape keeps no copy of the
     input. There is no bias: each model conv feeds a batch norm, which cancels
@@ -190,9 +196,13 @@ class Conv2d:
             dw = None
             if w_grad:
                 flat = phase_grid()
-                dwk = np.empty((k, k, cout, cin), dtype=g.dtype)
-                for i, j, p, off in taps:
-                    np.matmul(gm, flat[p, :, off:off + n_out].T, out=dwk[i, j])
+                dwk = np.zeros((k, k, cout, cin), dtype=g.dtype)
+                part = np.empty((cout, cin), dtype=g.dtype)
+                for c0 in range(0, n_out, BLOCK_COLUMNS):
+                    c1 = min(c0 + BLOCK_COLUMNS, n_out)
+                    for i, j, p, off in taps:
+                        np.matmul(gm[:, c0:c1], flat[p, :, off + c0:off + c1].T, out=part)
+                        dwk[i, j] += part
                 del flat
                 dw = np.ascontiguousarray(dwk.transpose(2, 3, 0, 1))
             dx = None
@@ -224,7 +234,10 @@ class BatchNorm2d:
     that as one per-channel ``x * scale + shift``, recomputed on every call. The
     running estimates move by BN_MOMENTUM per training batch. The tape keeps
     no ``xhat``: backward rebuilds it from ``x`` (train mode: from the batch
-    mean and inverse std, with the forward's expression).
+    mean and inverse std, with the forward's expression). Train mode computes
+    in place, one IEEE op at a time in the order of the out-of-place
+    expressions, so each call allocates the output and one square in forward,
+    and ``xhat`` (which becomes dx) and one product in backward.
     """
 
     def __init__(self, channels: int, dtype=np.float32):
@@ -244,24 +257,33 @@ class BatchNorm2d:
         if train:
             n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             mu = x.data.mean(axis=axes, keepdims=True)
-            var = np.square(x.data - mu).mean(axis=axes, keepdims=True)
+            gamma_c = gamma.data.reshape(1, c, 1, 1)
+            # out = gamma * ((x - mu) * inv_std) + beta, one op at a time in place
+            out = x.data - mu
+            var = np.square(out).mean(axis=axes, keepdims=True)
             inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (x.data - mu) * inv_std
+            out *= inv_std
+            out *= gamma_c
+            out += beta.data.reshape(1, c, 1, 1)
             m = BN_MOMENTUM
             self.running_mean = ((1 - m) * self.running_mean
                                  + m * mu.reshape(c).astype(self.running_mean.dtype))
             self.running_var = ((1 - m) * self.running_var
                                 + m * var.reshape(c).astype(self.running_var.dtype))
-            gamma_c = gamma.data.reshape(1, c, 1, 1)
-            out = gamma_c * xhat + beta.data.reshape(1, c, 1, 1)
 
             def backward(g):
-                # x is on the tape as the parent: rebuild xhat, bit for bit
-                xhat = (x.data - mu) * inv_std
+                # x is on the tape as the parent: rebuild xhat, bit for bit, then
+                # dx = gamma * inv_std * (g - (dbeta + xhat * dgamma) / n) in place on it
+                t = x.data - mu
+                t *= inv_std
                 dbeta = g.sum(axis=axes, keepdims=True)
-                dgamma = (g * xhat).sum(axis=axes, keepdims=True)
-                dx = gamma_c * inv_std * (g - (dbeta + xhat * dgamma) / n)
-                return (dx, dgamma.reshape(c), dbeta.reshape(c))
+                dgamma = (g * t).sum(axis=axes, keepdims=True)
+                t *= dgamma
+                t += dbeta
+                t /= n
+                np.subtract(g, t, out=t)
+                t *= gamma_c * inv_std
+                return (t, dgamma.reshape(c), dbeta.reshape(c))
         else:
             mu = self.running_mean.reshape(1, c, 1, 1).astype(x.dtype)
             rstd = np.sqrt(self.running_var.reshape(1, c, 1, 1) + BN_EPS).astype(x.dtype)

@@ -63,6 +63,29 @@ def traced_retained(fn):
         tracemalloc.stop()
 
 
+def per_tap_dw(x, g, kernel, stride, padding):
+    """dW of a conv as one GEMM per tap over all of its output columns, on the
+    stride-phase layout of the Conv2d docstring, each phase built from np.pad."""
+    b, cin = x.shape[:2]
+    cout, fo, to = g.shape[1:]
+    sf, st = stride
+    fg, tg = fo + (kernel - 1) // sf, to + (kernel - 1) // st
+    n_out = b * fg * tg - (fg - fo) * tg - (tg - to)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding[0],) * 2, (padding[1],) * 2)).transpose(1, 0, 2, 3)
+    ggrid = np.zeros((cout, b, fg, tg), dtype=g.dtype)
+    ggrid[:, :, :fo, :to] = g.transpose(1, 0, 2, 3)
+    gm = ggrid.reshape(cout, b * fg * tg)[:, :n_out]
+    dw = np.empty((cout, cin, kernel, kernel), dtype=g.dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            phase = np.zeros((cin, b, fg, tg), dtype=x.dtype)
+            cells = xp[:, :, i % sf::sf, j % st::st][:, :, :fg, :tg]
+            phase[:, :, :cells.shape[2], :cells.shape[3]] = cells
+            off = (i // sf) * tg + j // st
+            dw[:, :, i, j] = np.matmul(gm, phase.reshape(cin, b * fg * tg)[:, off:off + n_out].T)
+    return dw
+
+
 class TestConv2d:
     def test_delta_kernel_is_identity(self):
         conv = Conv2d(1, 1)
@@ -139,6 +162,49 @@ class TestConv2d:
         with no_grad():
             out, peak = traced_peak(lambda: conv.forward(x))
         assert peak < 4 * out.data.nbytes
+
+    @pytest.mark.parametrize("cin, kernel, stride", [
+        (3, 3, (1, 1)), (3, 3, (2, 2)), (3, 1, (2, 2)), (1, 3, (1, 1)),
+    ], ids=["3x3-stride1", "3x3-stride2", "1x1-stride2", "stem-cin1"])
+    def test_blocked_dw_matches_one_block_and_the_per_tap_gemm(self, cin, kernel, stride):
+        rng = rng_of(15)
+        conv = Conv2d(cin, 4, kernel=kernel, stride=stride, rng=rng, dtype=np.float64)
+        x = Tensor(rng.normal(size=(2, cin, 7, 9)), dtype=np.float64)
+        g = rng.normal(size=(2, 4, *conv.output_size(7, 9)))
+
+        matmul = np.matmul
+
+        def dw(block_columns):
+            # (dW, the widths of backward's np.matmul calls: dW's alone, as dX uses @)
+            conv.weight.grad = None
+            widths = []
+
+            def gemm(a, b, out):
+                widths.append(a.shape[1])
+                return matmul(a, b, out=out)
+
+            with mock.patch.object(nn, "BLOCK_COLUMNS", block_columns):
+                loss = (conv.forward(x) * Tensor(g, dtype=np.float64)).sum()
+                with mock.patch.object(np, "matmul", gemm):
+                    loss.backward()
+            return conv.weight.grad, widths
+
+        # one block past every output column adds each tap's GEMM to zero once
+        one_block, widths = dw(10**9)
+        assert len(widths) == kernel * kernel
+        assert one_block.tobytes() == per_tap_dw(x.data, g, kernel, stride, conv.padding).tobytes()
+        blocked, widths = dw(7)
+        assert max(widths) == 7 and len(widths) > kernel * kernel
+        np.testing.assert_allclose(blocked, one_block, rtol=1e-12)
+
+    def test_backward_peak_holds_no_whole_input_tap_stack(self):
+        # the stage-1 toy shape: a stack of all 9 tap windows of the input
+        # would alone be about 47 MB, over 9 inputs
+        x = Tensor(rng_of(16).normal(size=(20, 16, 60, 64)).astype(np.float32), requires_grad=True)
+        out = Conv2d(16, 16, rng=rng_of(17)).forward(x)
+        g = rng_of(18).normal(size=out.shape).astype(np.float32)
+        _, peak = traced_peak(lambda: out._backward(g))
+        assert peak < 5 * x.data.nbytes
 
     def test_channel_mismatch_error(self):
         conv = Conv2d(3, 4)
@@ -233,6 +299,55 @@ class TestBatchNorm:
         out, retained = traced_retained(lambda: bn.forward(x, True))
         assert out.requires_grad
         assert retained <= 0.05 * x.data.nbytes
+
+    def test_train_forward_and_backward_peak_is_three_inputs(self):
+        # the output, the rebuilt xhat that becomes dx, and g * xhat for dgamma;
+        # the out-of-place expressions held a fourth
+        bn = BatchNorm2d(16)
+        x = Tensor(rng_of(14).normal(size=(20, 16, 60, 64)).astype(np.float32), requires_grad=True)
+        g = rng_of(15).normal(size=x.shape).astype(np.float32)
+
+        def forward_and_backward():
+            out = bn.forward(x, True)
+            return out, out._backward(g)
+
+        _, peak = traced_peak(forward_and_backward)
+        assert peak < 3.5 * x.data.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_bytes_match_the_expressions_computed_in_place(self, dtype):
+        # channel 0 is constant and holds +-0, with beta -0, as in _bn_relu_case
+        rng = rng_of(16)
+        x = rng.normal(loc=1.0, scale=2.0, size=(3, 4, 5, 6)).astype(dtype)
+        x[:, 0] = 0.0
+        x[0, 0, 0, :3] = -0.0
+        bn = BatchNorm2d(4, dtype=dtype)
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, 4)
+        bn.beta.data[...] = [-0.0, *rng.normal(size=3)]
+        rm, rv = bn.running_mean, bn.running_var
+        g = rng.normal(size=x.shape).astype(dtype)
+        leaf = Tensor(x, requires_grad=True)
+        out = bn.forward(leaf, True)
+        (out * Tensor(g)).sum().backward()
+
+        axes, n, m = (0, 2, 3), x.size // 4, BN_MOMENTUM
+        gamma, beta = bn.gamma.data.reshape(1, 4, 1, 1), bn.beta.data.reshape(1, 4, 1, 1)
+        mu = x.mean(axis=axes, keepdims=True)
+        var = np.square(x - mu).mean(axis=axes, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (x - mu) * inv_std
+        dbeta = g.sum(axis=axes, keepdims=True)
+        dgamma = (g * xhat).sum(axis=axes, keepdims=True)
+        want = {"out": gamma * xhat + beta,
+                "running_mean": (1 - m) * rm + m * mu.reshape(4),
+                "running_var": (1 - m) * rv + m * var.reshape(4),
+                "dx": gamma * inv_std * (g - (dbeta + xhat * dgamma) / n),
+                "dgamma": dgamma.reshape(4), "dbeta": dbeta.reshape(4)}
+        got = {"out": out.data, "running_mean": bn.running_mean, "running_var": bn.running_var,
+               "dx": leaf.grad, "dgamma": bn.gamma.grad, "dbeta": bn.beta.grad}
+        for key, value in want.items():
+            assert got[key].dtype == dtype and got[key].tobytes() == value.tobytes(), key
+        assert np.signbit(out.data[:, 0]).any() and (~np.signbit(out.data[:, 0])).any()
 
     def test_running_stats_track_batches(self):
         bn = BatchNorm2d(1)
