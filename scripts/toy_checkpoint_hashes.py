@@ -4,7 +4,9 @@ per variant: SE off, each of the four wirings, the max, mean and std
 squeezes, and the mean+std temporal pooling, so every mode of
 ``nn.stats_pool`` is pinned. Each ``<label>`` line is followed by an
 ``eval-<label>`` line: the SHA-256 of the float32 ``extract_embedding``
-outputs of the trained model on a few fixed inputs.
+outputs of the trained model on a few fixed inputs. Those inputs are also
+embedded together by ``extract_embeddings``; the script exits 1 if any byte
+of that batch differs from the one-at-a-time embeddings.
 
 A refactor that does not touch the math must leave every line unchanged.
 The hashes are bit-exact only with BLAS on one thread, so the script pins it
@@ -26,7 +28,8 @@ import tempfile  # noqa: E402
 import numpy as np  # noqa: E402
 
 from sevx.config import RunConfig  # noqa: E402
-from sevx.model import AAMHead, SGDOptimizer, build_model, extract_embedding, train_step  # noqa: E402
+from sevx.model import (AAMHead, SGDOptimizer, build_model, extract_embedding,  # noqa: E402
+                        extract_embeddings, train_step)
 from sevx.pipeline import save_checkpoint  # noqa: E402
 from sevx.se import INTEGRATIONS  # noqa: E402
 from sevx.tensor import Tensor  # noqa: E402
@@ -40,8 +43,9 @@ VARIANTS = ([("off", {"se.stages": ""})]
             + [("pool-mean_std", {"se.stages": "1,2,3,4", "model.temporal_pooling": "mean_std"})])
 
 
-def trained_sha256(overrides: dict[str, str], path: str) -> tuple[str, str]:
-    """(checkpoint SHA-256, eval-embedding SHA-256) of one variant."""
+def trained_sha256(overrides: dict[str, str], path: str) -> tuple[str, str, bool]:
+    """(checkpoint SHA-256, eval-embedding SHA-256, whether the batched eval
+    forward gave the same bytes) of one variant."""
     cfg = RunConfig({"seed": str(SEED), "model.scale_factor": "0.125",
                      "model.segment_frames": "64", "data.num_speakers": str(SPEAKERS),
                      **overrides})
@@ -58,18 +62,25 @@ def trained_sha256(overrides: dict[str, str], path: str) -> tuple[str, str]:
     with open(path, "rb") as f:
         checkpoint = hashlib.sha256(f.read()).hexdigest()
     eval_rng = np.random.default_rng(SEED + 1)
-    embeddings = hashlib.sha256()
-    for _ in range(EVAL_INPUTS):
-        x = eval_rng.normal(size=(1, 1, 60, 64)).astype(np.float32)
-        embeddings.update(extract_embedding(model, Tensor(x)).astype("<f4").tobytes())
-    return checkpoint, embeddings.hexdigest()
+    xs = [eval_rng.normal(size=(1, 1, 60, 64)).astype(np.float32) for _ in range(EVAL_INPUTS)]
+    alone = b"".join(extract_embedding(model, Tensor(x)).astype("<f4").tobytes() for x in xs)
+    batched = extract_embeddings(model, Tensor(np.concatenate(xs))).astype("<f4").tobytes()
+    return checkpoint, hashlib.sha256(alone).hexdigest(), batched == alone
 
 
 def main() -> int:
+    differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, overrides in VARIANTS:
-            checkpoint, embeddings = trained_sha256(overrides, os.path.join(tmp, f"{label}.sevx"))
+            checkpoint, embeddings, same = trained_sha256(
+                overrides, os.path.join(tmp, f"{label}.sevx"))
             print(f"{label} {checkpoint}\neval-{label} {embeddings}", flush=True)
+            if not same:
+                differ.append(label)
+    if differ:
+        print(f"batched eval embeddings differ from one-at-a-time ones: {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

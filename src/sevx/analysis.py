@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se as se_mod
-from .model import SpeakerEmbedder, extract_embedding
-from .tensor import Tensor
+from .model import SpeakerEmbedder, eval_forwards
 
 
 @dataclass
@@ -57,25 +56,28 @@ def _probes(model: SpeakerEmbedder, stages) -> dict[str, int]:
 
 
 def capture_excitations(model: SpeakerEmbedder, utterances, stages=None) -> list[ExcitationRecord]:
-    """One record per (utterance, probed stage), from the eval forward of
-    ``extract_embedding``.
+    """One record per (utterance, probed stage), in utterance order, from the
+    batched eval forwards of ``model.eval_forwards``.
 
     ``utterances`` yields (utterance_id, speaker_id, features) with features
     shaped (mel, T), T >= 8. Each probed stage (default: every SE-carrying
-    stage) is read at its last SE block.
+    stage) is read at its last SE block; row i of a forward's (n, C) gates is
+    its i-th segment's, with the bytes that segment gives alone.
     """
     probes = _probes(model, stages)
-    records: list[ExcitationRecord] = []
-    for utt_id, spk_id, feats in utterances:
-        sink: list = []
-        with se_mod.record_excitations(sink):
-            extract_embedding(model, Tensor(np.asarray(feats, dtype=np.float32)[None, None]))
-        for name, gates in sink:
-            if name in probes:
-                records.append(ExcitationRecord(
-                    stage=probes[name], utterance_id=utt_id, speaker_id=spk_id,
-                    channel_weights=gates.reshape(-1)))
-    return records
+    utterances = list(utterances)
+    gates_of: list[list] = [[] for _ in utterances]
+    sink: list = []
+    with se_mod.record_excitations(sink):
+        for idx, _ in eval_forwards(model, [feats for _, _, feats in utterances]):
+            for name, gates in sink:
+                if name in probes:
+                    for i, row in zip(idx, gates):
+                        gates_of[i].append((probes[name], row))
+            sink.clear()
+    return [ExcitationRecord(stage=stage, utterance_id=utt_id, speaker_id=spk_id,
+                             channel_weights=row)
+            for (utt_id, spk_id, _), rows in zip(utterances, gates_of) for stage, row in rows]
 
 
 def across_speaker_profile(records) -> tuple[dict[int, StageProfile], dict[int, float]]:

@@ -206,8 +206,10 @@ def read_wav(path: str) -> np.ndarray:
             rate = w.getframerate()
             n = w.getnframes()
             raw = w.readframes(n)
-    except (wave.Error, EOFError) as exc:
-        raise AudioFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # a chunk size past its chunk's end makes wave's seek raise a bare RuntimeError
+        detail = str(exc) or "a chunk size does not fit the file"
+        raise AudioFormatError(f"{path}: not a readable WAV file ({detail})") from exc
     if channels != 1:
         raise AudioFormatError(f"{path}: expected mono audio, got {channels} channels")
     if width != 2:

@@ -20,6 +20,8 @@ from .tensor import NumericError, ShapeError, Tensor, no_grad
 
 # three stride-2 stages shrink time 8x; eval rejects shorter segments
 MIN_FRAMES = 8
+# frames per batched eval forward: 8 toy chunks of 64 frames, one 400-frame chunk
+EVAL_BATCH_FRAMES = 512
 
 
 @dataclass(frozen=True)
@@ -416,17 +418,55 @@ def train_step(model: SpeakerEmbedder, head: AAMHead, batch: Tensor, labels,
     return loss_val
 
 
-def extract_embedding(model: SpeakerEmbedder, features: Tensor) -> np.ndarray:
-    """Embedding for one utterance (1, 1, mel, T), eval mode, grad-free: the one
-    eval forward behind scoring, training accuracy and excitation capture.
-    A non-finite embedding raises ``NumericError``."""
-    if features.ndim != 4 or features.shape[0] != 1:
-        raise ShapeError(f"extract_embedding expects (1, 1, mel, T), got {features.shape}")
+def extract_embeddings(model: SpeakerEmbedder, features: Tensor) -> np.ndarray:
+    """Embeddings (n, d) of n equal-length segments (n, 1, mel, T), eval mode,
+    grad-free: the one eval forward behind scoring, training accuracy and
+    excitation capture. It is batch invariant: every conv GEMM restarts at each
+    batch item and the grad-free ``Linear`` multiplies row by row, so each row
+    has the bytes of its segment's forward alone. A non-finite row raises
+    ``NumericError``."""
+    if features.ndim != 4 or features.shape[0] < 1 or features.shape[1] != 1:
+        raise ShapeError(f"extract_embeddings expects (n, 1, mel, T), got {features.shape}")
     t = features.shape[3]
     if t < MIN_FRAMES:
         raise ShapeError(f"segment too short: T={t} < {MIN_FRAMES} frames")
     with no_grad():
-        emb = model.forward_embedding(features, train=False)
-    if not np.all(np.isfinite(emb.data)):
-        raise NumericError("non-finite embedding from the eval forward")
-    return emb.data.reshape(-1).copy()
+        emb = model.forward_embedding(features, train=False).data
+    bad = np.flatnonzero(~np.all(np.isfinite(emb), axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite embedding from the eval forward (segment {bad[0]})")
+    return emb
+
+
+def extract_embedding(model: SpeakerEmbedder, features: Tensor) -> np.ndarray:
+    """Embedding (d,) of one utterance (1, 1, mel, T): ``extract_embeddings`` at n = 1."""
+    if features.ndim != 4 or features.shape[0] != 1:
+        raise ShapeError(f"extract_embedding expects (1, 1, mel, T), got {features.shape}")
+    return extract_embeddings(model, features)[0]
+
+
+def eval_forwards(model: SpeakerEmbedder, segments):
+    """Yield (indices, embeddings (len(indices), d)) that embed every (mel, T)
+    segment of the list ``segments`` once: segments of one shape, in list
+    order, go through ``extract_embeddings`` together, up to EVAL_BATCH_FRAMES
+    frames (and at least one segment) per forward."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, s in enumerate(segments):
+        if np.ndim(s) != 2:
+            raise ShapeError(f"a segment must be (mel, T), got shape {np.shape(s)}")
+        by_shape.setdefault(np.shape(s), []).append(i)
+    for (_mel, t), idx in by_shape.items():
+        per = max(1, EVAL_BATCH_FRAMES // t)
+        for k in range(0, len(idx), per):
+            group = idx[k:k + per]
+            x = np.stack([segments[i] for i in group])[:, None].astype(np.float32)
+            yield group, extract_embeddings(model, Tensor(x))
+
+
+def embed_segments(model: SpeakerEmbedder, segments) -> np.ndarray:
+    """Embeddings (n, d) of the (mel, T) ``segments``, in order, from ``eval_forwards``."""
+    segments = list(segments)
+    out = np.empty((len(segments), model.spec.embedding_dim), dtype=np.float32)
+    for idx, emb in eval_forwards(model, segments):
+        out[idx] = emb
+    return out

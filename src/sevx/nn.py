@@ -9,7 +9,8 @@ full-scale stack's per-stage output sizes on their intended grid.
 Convolution works on a channel-major, zero-padded copy of its input split
 into stride phases: each tap of the kernel is then a contiguous column window
 of one phase, so the forward pass is one GEMM per column block of a stack of
-those windows, dW one GEMM per tap and column block (the blocks keep both
+those windows, its blocks restarting at each batch item, dW one GEMM per tap
+and column block (the blocks keep both
 operands in cache, as in Goto and van de Geijn, ACM TOMS 2008), and dX one
 GEMM per tap; the output is cropped from the grid that backward pads the
 output gradient onto. None holds a kernel-squared column matrix of the whole
@@ -18,6 +19,12 @@ Train-mode batch norm runs in place (compare Rota Bulo et al., arXiv
 1712.02616). The tape keeps no copy of the input:
 backward rebuilds the phase buffer from the conv's parent, as batch norm
 rebuilds ``xhat`` (recompute for memory, Chen et al., arXiv 1604.06174).
+
+The grad-free forward is batch invariant: per-item conv blocks, and the
+off-tape ``Linear`` one product per row, give each batch row the bytes of its
+input's forward alone (He et al., "Defeating Nondeterminism in LLM Inference",
+Thinking Machines Lab, 2025). Every other eval op is elementwise or reduces
+within one item.
 """
 
 from __future__ import annotations
@@ -27,12 +34,12 @@ import zlib
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ShapeError, Tensor, cat
+from .tensor import ShapeError, Tensor, cat, recorded
 
 STATS_EPS = 1e-8
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
-# output columns per block of the conv forward's tap stack and of its dW
+# output columns per block of the conv forward's tap stack (per batch item) and of its dW
 BLOCK_COLUMNS = 2048
 POOLINGS = ("max", "mean", "std", "mean_std")
 
@@ -53,7 +60,12 @@ def uniform_fan_in(rng: np.random.Generator, fan_in: int, shape: tuple, dtype) -
 
 
 class Linear:
-    """Dense layer y = x W^T + b."""
+    """Dense layer y = x W^T + b.
+
+    On the tape the batch is one GEMM. Off it, each row is its own product
+    with the same contiguous W^T: a BLAS picks other kernels for a many-row
+    GEMM than for one row, so only then is every row the bytes it gives alone.
+    """
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None, dtype=np.float32):
@@ -69,7 +81,12 @@ class Linear:
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"linear expects input dim {self.in_features}, got {x.shape}")
-        return x @ self.weight.transpose() + self.bias.reshape(1, self.out_features)
+        wt = self.weight.transpose()
+        if recorded(x, self.weight, self.bias):
+            y = x @ wt
+        else:
+            y = cat([Tensor(x.data[i:i + 1]) @ wt for i in range(x.shape[0])])
+        return y + self.bias.reshape(1, self.out_features)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.weight", self.weight
@@ -98,15 +115,19 @@ class Conv2d:
     column window, at offset (i//sf)*Tg + j//st, of phase (i%sf, j%st); the
     n_out columns it spans cover every output on the (Fg, Tg) grid.
 
-    Forward walks the n_out columns in blocks of BLOCK_COLUMNS: one strided
-    copy per phase fills a (cin, k, k, block) stack of the k*k windows, and one
-    GEMM of the (cout, cin*k*k) weights writes the block's output columns; the
+    Forward walks each batch item's columns, from its first grid cell to its
+    last output, in blocks of BLOCK_COLUMNS that restart at every item: one
+    strided copy per phase fills a (cin, k, k, block) stack of the k*k windows,
+    and one GEMM of the (cout, cin*k*k) weights writes the block's output
+    columns. So an item's outputs come from the GEMMs, shapes and operands of
+    its forward alone, bit for bit, whatever the batch (batch invariance). The
     output is cropped from the (Fg, Tg) grid by the slice with which backward
-    pads the output gradient onto a zero grid. dW walks the same blocks: per
-    block and tap, one GEMM of the block's gradient columns against the tap's
-    window writes a (cout, cin) scratch, added into the tap's zeroed slice, so
-    both operands stay in cache; one block gives each tap's GEMM over all n_out
-    columns bit for bit. dX adds one GEMM per tap into the phase grid, in tap
+    pads the output gradient onto a zero grid. dW walks all n_out columns in
+    blocks of BLOCK_COLUMNS: per block and tap, one GEMM of the block's
+    gradient columns against the tap's window writes a (cout, cin) scratch,
+    added into the tap's zeroed slice, so both operands stay in cache; one
+    block gives each tap's GEMM over all n_out columns bit for bit. dX adds
+    one GEMM per tap into the phase grid, in tap
     order, before the padding is dropped. The phase buffer is freed after the
     blocks and rebuilt in backward for dW only: the tape keeps no copy of the
     input. There is no bias: each model conv feeds a batch norm, which cancels
@@ -174,16 +195,20 @@ class Conv2d:
         item = flat.itemsize
         w2 = weight.data.reshape(cout, cin * k * k)
         y = np.empty((cout, b * fg * tg), dtype=x.dtype)
-        block = np.empty(cin * k * k * min(BLOCK_COLUMNS, n_out), dtype=x.dtype)
-        for c0 in range(0, n_out, BLOCK_COLUMNS):
-            bc = min(BLOCK_COLUMNS, n_out - c0)
-            # the ragged last block too is contiguous, so the GEMM reads it as one run
-            buf = block[:cin * k * k * bc].reshape(cin, k, k, bc)
-            for (p, q), ph in zip(phases, flat):
-                buf[:, p::sf, q::st] = as_strided(
-                    ph[:, c0:], (cin, len(range(p, k, sf)), len(range(q, k, st)), bc),
-                    (ph.strides[0], tg * item, item, item))
-            np.matmul(w2, buf.reshape(cin * k * k, bc), out=y[:, c0:c0 + bc])
+        # each batch item's n_item columns, from its first grid cell, in blocks of
+        # their own: an item's GEMMs are those of the item alone, whatever the batch
+        n_item = n_out - (b - 1) * fg * tg
+        block = np.empty(cin * k * k * min(BLOCK_COLUMNS, n_item), dtype=x.dtype)
+        for start in range(0, b * fg * tg, fg * tg):
+            for c0 in range(start, start + n_item, BLOCK_COLUMNS):
+                bc = min(BLOCK_COLUMNS, start + n_item - c0)
+                # the ragged last block too is contiguous, so the GEMM reads it as one run
+                buf = block[:cin * k * k * bc].reshape(cin, k, k, bc)
+                for (p, q), ph in zip(phases, flat):
+                    buf[:, p::sf, q::st] = as_strided(
+                        ph[:, c0:], (cin, len(range(p, k, sf)), len(range(q, k, st)), bc),
+                        (ph.strides[0], tg * item, item, item))
+                np.matmul(w2, buf.reshape(cin * k * k, bc), out=y[:, c0:c0 + bc])
         del block, buf, flat
         out = np.ascontiguousarray(y.reshape(cout, b, fg, tg)[:, :, :fo, :to].transpose(1, 0, 2, 3))
 

@@ -18,7 +18,7 @@ from .features import Utterance, chunk, featurize_wav, generate_synthetic_corpus
 from .metrics import (NONTARGET, TARGET, DCFParams, ScoreSet, Trial, metrics_report, read_trials,
                       unit_rows, write_scores, write_trials)
 from .model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, build_model,
-                    extract_embedding, se_census, train_step)
+                    embed_segments, se_census, train_step)
 from .nn import rng_for
 from .se import SEConfig
 from .tensor import Tensor
@@ -159,9 +159,9 @@ def lr_at(step: int, total_steps: int, base_lr: float, milestones, factor: float
 def train_accuracy(model: SpeakerEmbedder, head: AAMHead, x: np.ndarray,
                    y: np.ndarray) -> float:
     """Fraction of chunks ``x`` (n, 1, mel, T) whose closest class row, by
-    cosine, is their label ``y``. Each chunk is embedded on its own by
-    ``extract_embedding``, the eval forward that scoring uses."""
-    emb = np.stack([extract_embedding(model, Tensor(c[None])) for c in x])
+    cosine, is their label ``y``. The chunks are embedded by ``embed_segments``,
+    several per eval forward, each with the bytes it gives alone."""
+    emb = embed_segments(model, x[:, 0])
     cosines = unit_rows(emb) @ unit_rows(head.class_weights.data).T
     return int((cosines.argmax(axis=1) == y).sum()) / len(x)
 
@@ -285,11 +285,10 @@ def load_checkpoint(path: str) -> tuple[SpeakerEmbedder, AAMHead, dict[str, str]
 
 
 def extract_embeddings(model: SpeakerEmbedder, utts) -> dict[str, np.ndarray]:
-    out = {}
-    for u in utts:
-        out[u.utterance_id] = extract_embedding(
-            model, Tensor(u.features[None, None].astype(np.float32)))
-    return out
+    """Utterance id -> embedding, by ``embed_segments`` over the whole utterances."""
+    utts = list(utts)
+    return dict(zip([u.utterance_id for u in utts],
+                    embed_segments(model, [u.features for u in utts])))
 
 
 def score_trials(embeddings: dict[str, np.ndarray], trials) -> list[tuple[str, str, float]]:

@@ -56,6 +56,12 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def recorded(*parents: "Tensor") -> bool:
+    """Whether an op over ``parents`` goes on the tape: grad is enabled and
+    some parent is on it or a leaf that requires grad."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _pin_blas():
     """Cap BLAS at one thread; return a callable that undoes it, or None."""
     try:
@@ -183,7 +189,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if recorded(*parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -4,6 +4,7 @@ import ctypes
 import glob
 import hashlib
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -470,6 +471,32 @@ class TestWavManifest:
         assert len(utts) == 2
         assert all(u.features.shape[0] == 60 for u in utts)
         assert all(u.features.shape[1] > 0 for u in utts)
+
+    def test_damaged_wav_header_exits_one_without_a_traceback(self, tmp_path):
+        from sevx.features import write_wav
+
+        cdir = tmp_path / "out" / "corpus"
+        os.makedirs(cdir)
+        wav = str(cdir / "u0.wav")
+        write_wav(wav, np.zeros(16000))
+        with open(wav, "r+b") as f:
+            f.seek(19)
+            f.write(b"\x54")     # fmt chunk size 0x54000010, past the end of the file
+        with open(cdir / "manifest.tsv", "w") as f:
+            f.write(f"u0\tspk0\t{wav}\n")
+        ckpt = str(tmp_path / "ckpt.sevx")
+        spec = ModelSpec(scale_factor=1 / 16, num_speakers=3)
+        save_checkpoint(ckpt, build_model(spec, SEConfig(), seed=1),
+                        AAMHead(3, spec.embedding_dim, seed=1), RunConfig())
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sevx", "extract", "--out", str(tmp_path / "out"),
+             "--checkpoint", ckpt], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert f"{wav}: not a readable WAV file" in proc.stderr
 
     def test_missing_wav_is_missing_artifact(self, tmp_path):
         from sevx.pipeline import MissingArtifactError

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sevx.features import (AudioFormatError, SynthSpec, apply_vad, chunk,
@@ -221,3 +221,24 @@ class TestWav:
             f.write(b"definitely not audio")
         with pytest.raises(AudioFormatError):
             read_wav(path)
+
+    # 1-3 bytes of the 44-byte header overwritten, and maybe the file cut short
+    @given(edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
+                          min_size=1, max_size=3),
+           cut=st.one_of(st.none(), st.integers(0, 363)))
+    @example(edits=[(19, 0x54)], cut=None)      # fmt chunk size 0x54000010: wave's bare seek error
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_header_reads_or_raises_audio_format_error(self, tmp_path_factory,
+                                                              edits, cut):
+        path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+        write_wav(str(path), tone(250.0, 0.02))     # 320 frames, 684 bytes
+        blob = bytearray(path.read_bytes())
+        for at, value in edits:
+            blob[at] = value
+        path.write_bytes(bytes(blob[:cut]))
+        try:
+            samples = read_wav(str(path))
+        except AudioFormatError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert samples.dtype == np.float32 and samples.ndim == 1

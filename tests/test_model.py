@@ -5,10 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sevx import model as model_mod
+from sevx.analysis import capture_excitations
 from sevx.config import TOY_CONFIG, RunConfig
-from sevx.model import (AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder, aam_loss,
-                        build_model, extract_embedding, se_census, train_step)
+from sevx.model import (EVAL_BATCH_FRAMES, AAMHead, ModelSpec, SGDOptimizer, SpeakerEmbedder,
+                        aam_loss, build_model, embed_segments, extract_embedding,
+                        extract_embeddings, se_census, train_step)
+from sevx.nn import POOLINGS
 from sevx.pipeline import train_accuracy
 from sevx.se import INTEGRATIONS, SEConfig
 from sevx.tensor import NumericError, ShapeError, Tensor
@@ -320,3 +326,63 @@ def test_train_accuracy_picks_the_closest_class_row():
     head.class_weights.data[...] = np.stack([extract_embedding(model, Tensor(c[None])) for c in x])
     assert train_accuracy(model, head, x, np.array([0, 1, 2])) == 1.0
     assert train_accuracy(model, head, x, np.array([1, 2, 0])) == 0.0
+
+
+class TestBatchedEval:
+    """The batched eval forward is batch invariant: each row has the bytes of
+    its segment's forward alone, whatever the rows beside it."""
+
+    @given(n=st.integers(1, 6), t=st.integers(8, 80),
+           stages=st.sets(st.integers(1, 4), min_size=1),
+           wiring=st.sampled_from(INTEGRATIONS), squeeze=st.sampled_from(POOLINGS),
+           temporal=st.sampled_from(["mean", "mean_std"]), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_are_the_bytes_of_each_segment_alone(self, n, t, stages, wiring, squeeze,
+                                                      temporal, seed):
+        spec = ModelSpec(scale_factor=1 / 16, num_speakers=4, temporal_pooling=temporal)
+        se = SEConfig(stages=frozenset(stages), integration=wiring, pooling=squeeze)
+        model = build_model(spec, se, seed=seed % 1000)
+        x = rng_of(seed).normal(size=(n, 1, 60, t)).astype(np.float32)
+        alone = [extract_embedding(model, Tensor(x[i:i + 1])) for i in range(n)]
+        batched = extract_embeddings(model, Tensor(x))
+        assert [row.tobytes() for row in batched] == [row.tobytes() for row in alone]
+        perm = rng_of(seed + 1).permutation(n)
+        permuted = extract_embeddings(model, Tensor(x[perm]))
+        assert [row.tobytes() for row in permuted] == [alone[i].tobytes() for i in perm]
+        utts = [(f"u{i}", f"s{i % 2}", x[i, 0]) for i in range(n)]
+        together = capture_excitations(model, utts)
+        apart = [r for u in utts for r in capture_excitations(model, [u])]
+        assert ([(r.stage, r.utterance_id, r.channel_weights.tobytes()) for r in together]
+                == [(r.stage, r.utterance_id, r.channel_weights.tobytes()) for r in apart])
+
+    def test_segments_of_one_shape_share_forwards_in_order(self, monkeypatch):
+        spec = ModelSpec(scale_factor=1 / 16, num_speakers=4)
+        model = build_model(spec, SEConfig(stages=frozenset({1, 2})), seed=0)
+        lengths = [200, 16, 200, 24, 16, 200, 16]
+        segs = [rng_of(i).normal(size=(60, t)).astype(np.float32) for i, t in enumerate(lengths)]
+        shapes = []
+        forward = model_mod.extract_embeddings
+
+        def spy(m, features):
+            shapes.append(features.shape)
+            return forward(m, features)
+
+        monkeypatch.setattr(model_mod, "extract_embeddings", spy)
+        emb = embed_segments(model, segs)
+        # 512 frames hold two 200-frame segments, and every 16- or 24-frame one
+        assert shapes == [(2, 1, 60, 200), (1, 1, 60, 200), (3, 1, 60, 16), (1, 1, 60, 24)]
+        assert all(s[0] == 1 or s[0] * s[3] <= EVAL_BATCH_FRAMES for s in shapes)
+        assert emb.tobytes() == np.stack(
+            [extract_embedding(model, Tensor(s[None, None])) for s in segs]).tobytes()
+
+    def test_non_finite_row_names_its_segment(self):
+        model = build_model(ModelSpec(scale_factor=1 / 16, num_speakers=4), None, seed=0)
+        x = rng_of(0).normal(size=(3, 1, 60, 16)).astype(np.float32)
+        x[2, 0, 5, 5] = np.nan
+        with pytest.raises(NumericError, match="segment 2"):
+            extract_embeddings(model, Tensor(x))
+
+    def test_segment_must_be_two_dimensional(self):
+        model = build_model(ModelSpec(scale_factor=1 / 16, num_speakers=4), None, seed=0)
+        with pytest.raises(ShapeError, match=r"\(mel, T\)"):
+            embed_segments(model, [np.zeros((1, 60, 16), dtype=np.float32)])

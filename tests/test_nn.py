@@ -29,16 +29,20 @@ REFERENCE_SHAPES = pytest.mark.parametrize("stride, kernel, shape", [
     ((1, 1), 3, (3, 2, 5, 5)),
     ((2, 2), 3, (2, 2, 7, 9)),
     ((2, 1), 3, (2, 2, 7, 9)),
+    ((2, 2), 3, (3, 2, 7, 9)),
 ], ids=["stride0", "stride1", "stride2", "kernel1-stride2", "batch3", "stride2-odd-7x9",
-        "stride2x1"])
+        "stride2x1", "batch3-stride2"])
 
 
 def check_against_reference(stride, kernel, shape):
+    """The conv's float64 forward of a seeded input against the oracle; returns
+    (conv, input, output)."""
     x = rng_of(7).normal(size=shape)
     conv = Conv2d(shape[1], 3, kernel=kernel, stride=stride, rng=rng_of(8), dtype=np.float64)
-    out = conv.forward(Tensor(x, dtype=np.float64))
+    out = conv.forward(Tensor(x, dtype=np.float64)).data
     ref = conv2d_reference(x, conv.weight.data, stride, conv.padding)
-    np.testing.assert_allclose(out.data, ref, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
+    return conv, x, out
 
 
 def traced_peak(fn):
@@ -108,7 +112,8 @@ class TestConv2d:
 
     @REFERENCE_SHAPES
     def test_blocked_forward_matches_reference(self, monkeypatch, stride, kernel, shape):
-        # 7-column blocks: every shape spans several blocks and ends in a ragged one
+        # 7-column blocks restart at each batch item: every item spans several
+        # blocks, 7s and then its ragged rest, and has the bytes of its forward alone
         monkeypatch.setattr(nn, "BLOCK_COLUMNS", 7)
         widths = []
         matmul = np.matmul
@@ -119,8 +124,15 @@ class TestConv2d:
             return matmul(w, block, out=out)
 
         monkeypatch.setattr(np, "matmul", gemm)
-        check_against_reference(stride, kernel, shape)
-        assert len(widths) >= 2 and set(widths[:-1]) == {7} and 0 < widths[-1] < 7
+        conv, x, out = check_against_reference(stride, kernel, shape)
+        fo, to = out.shape[2:]
+        fg, tg = fo + (kernel - 1) // stride[0], to + (kernel - 1) // stride[1]
+        n_item = fg * tg - (fg - fo) * tg - (tg - to)    # columns up to an item's last output
+        assert n_item > 7
+        assert widths == [min(7, n_item - c) for c in range(0, n_item, 7)] * shape[0]
+        for n in range(shape[0]):
+            alone = conv.forward(Tensor(x[n:n + 1], dtype=np.float64)).data
+            assert alone.tobytes() == out[n:n + 1].tobytes()
 
     @given(b=st.integers(1, 3), cin=st.integers(1, 3), cout=st.integers(1, 3),
            f=st.integers(3, 9), t=st.integers(3, 9), kernel=st.sampled_from([1, 3]),
