@@ -7,14 +7,15 @@ them with floor division, which is what keeps the
 full-scale stack's per-stage output sizes on their intended grid.
 
 Convolution works on a channel-major, zero-padded copy of its input split
-into stride phases: each tap of the kernel is then a contiguous column window
-of one phase, so the forward pass is one GEMM per column block of a stack of
-those windows, its blocks restarting at each batch item, dW one GEMM per tap
-and column block (the blocks keep both
-operands in cache, as in Goto and van de Geijn, ACM TOMS 2008), and dX one
-GEMM per tap; the output is cropped from the grid that backward pads the
-output gradient onto. None holds a kernel-squared column matrix of the whole
-input (the low-memory GEMM family of Anderson et al., arXiv 1709.03395).
+into stride phases, where each kernel tap is a contiguous column window of one
+phase. One routine, ``_correlate``, runs the forward and dX: one GEMM per
+column block of a stack of those windows. dX is the transposed convolution as
+a stride-1 correlation of the zero-dilated output gradient with the kernel
+turned 180 degrees (Dumoulin and Visin, arXiv 1603.07285); at stride 2 three
+quarters of its products are with zeros. dW is one GEMM per tap and column
+block (operands in cache, as in Goto and van de Geijn, ACM TOMS 2008). None
+holds a kernel-squared column matrix of the whole input (the low-memory GEMM
+family of Anderson et al., arXiv 1709.03395).
 Train-mode batch norm runs in place (compare Rota Bulo et al., arXiv
 1712.02616). The tape keeps no copy of the input:
 backward rebuilds the phase buffer from the conv's parent, as batch norm
@@ -93,45 +94,86 @@ class Linear:
         yield f"{prefix}.bias", self.bias
 
 
-def _phase_span(n: int, pad: int, stride: int, phase: int, cells: int) -> tuple[slice, slice]:
-    """Cells of one stride phase of a padded axis that hold input, and the input
-    indices they hold: cell u is padded index ``phase + stride*u``, input index
-    ``phase + stride*u - pad``."""
-    lo = -((phase - pad) // stride)                            # first cell at input index >= 0
-    hi = max(lo, min(cells, -((phase - pad - n) // stride)))   # one past the last below n
-    start = phase + stride * lo - pad
-    return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+def _phase_grid(x: np.ndarray, k: int, stride, padding, out_hw):
+    """(x padded and split into the stride phases a k x k kernel reads, as
+    (phase, cin, b*Fg*Tg), zero past the padding; the phases; the taps as
+    (i, j, phase, column offset) in (i, j) order; (Fg, Tg)). See ``Conv2d``."""
+    b, cin = x.shape[:2]
+    (sf, st), (pf, pt), (fo, to) = stride, padding, out_hw
+    fg, tg = fo + (k - 1) // sf, to + (k - 1) // st
+    phases = sorted({(i % sf, j % st) for i in range(k) for j in range(k)})
+    taps = [(i, j, phases.index((i % sf, j % st)), (i // sf) * tg + j // st)
+            for i in range(k) for j in range(k)]
+    grid = np.zeros((len(phases), cin, b, fg, tg), dtype=x.dtype)
+    xc = x.transpose(1, 0, 2, 3)
+    for ph, (p, q) in zip(grid, phases):
+        u, v = -((p - pf) // sf), -((q - pt) // st)     # the first cells that hold input
+        cells = xc[:, :, p + sf * u - pf::sf, q + st * v - pt::st][:, :, :fg - u, :tg - v]
+        ph[:, :, u:u + cells.shape[2], v:v + cells.shape[3]] = cells
+    return grid.reshape(len(phases), cin, b * fg * tg), phases, taps, (fg, tg)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, stride, padding, out_hw) -> np.ndarray:
+    """(b, cout, *out_hw) cross-correlation of x (b, cin, f, t) with w
+    (cout, cin, k, k), one GEMM per block of a tap stack. See ``Conv2d``."""
+    b, cin = x.shape[:2]
+    cout, k = w.shape[0], w.shape[2]
+    (sf, st), (fo, to) = stride, out_hw
+    flat, phases, _, (fg, tg) = _phase_grid(x, k, stride, padding, out_hw)
+    # columns [c0, c0 + bc) of phase (p, q)'s tap windows (p + sf*u, q + st*v)
+    # as one view: one copy per phase and block, then one GEMM per block
+    item = flat.itemsize
+    w2 = w.reshape(cout, cin * k * k)
+    y = np.empty((cout, b * fg * tg), dtype=x.dtype)
+    # each batch item's n_item columns, from its first grid cell, in blocks of
+    # their own: an item's GEMMs are those of the item alone, whatever the batch
+    n_item = fg * tg - (fg - fo) * tg - (tg - to)
+    block = np.empty(cin * k * k * min(BLOCK_COLUMNS, n_item), dtype=x.dtype)
+    for start in range(0, b * fg * tg, fg * tg):
+        for c0 in range(start, start + n_item, BLOCK_COLUMNS):
+            bc = min(BLOCK_COLUMNS, start + n_item - c0)
+            # the ragged last block too is contiguous, so the GEMM reads it as one run
+            buf = block[:cin * k * k * bc].reshape(cin, k, k, bc)
+            for (p, q), ph in zip(phases, flat):
+                buf[:, p::sf, q::st] = as_strided(
+                    ph[:, c0:], (cin, len(range(p, k, sf)), len(range(q, k, st)), bc),
+                    (ph.strides[0], tg * item, item, item))
+            np.matmul(w2, buf.reshape(cin * k * k, bc), out=y[:, c0:c0 + bc])
+    del block, buf, flat, ph        # ph, a view of the last phase, would keep the grid
+    return np.ascontiguousarray(y.reshape(cout, b, fg, tg)[:, :, :fo, :to].transpose(1, 0, 2, 3))
 
 
 class Conv2d:
-    """3x3 (by default) cross-correlation over (freq, time) on a stride-phase
-    buffer, with the tape keeping only that buffer.
+    """3x3 (by default) cross-correlation over (freq, time) on a stride-phase buffer.
 
-    The zero-padded input is split into its stride phases, channel-major:
-    phase (p, q) holds padded rows p, p+sf, ... and columns q, q+st, ..., on a
-    grid of Fg = fo + (k-1)//sf by Tg = to + (k-1)//st cells per batch item.
-    Only phases some tap reads are built (one for stride 1, one for a 1x1
-    stride-2 conv). Flattened to (cin, b*Fg*Tg), tap (i, j) is a contiguous
-    column window, at offset (i//sf)*Tg + j//st, of phase (i%sf, j%st); the
-    n_out columns it spans cover every output on the (Fg, Tg) grid.
+    ``_phase_grid`` splits the zero-padded input into its stride phases,
+    channel-major: phase (p, q) holds padded rows p, p+sf, ... and columns q,
+    q+st, ..., on a grid of Fg = fo + (k-1)//sf by Tg = to + (k-1)//st cells
+    per batch item, zero past the padded input. Only phases some tap reads are
+    built (one for stride 1, one for a 1x1 stride-2 conv). Flattened to
+    (cin, b*Fg*Tg), tap (i, j) is a contiguous column window, at offset
+    (i//sf)*Tg + j//st, of phase (i%sf, j%st); the n_out columns it spans
+    cover every output on the (Fg, Tg) grid.
 
-    Forward walks each batch item's columns, from its first grid cell to its
-    last output, in blocks of BLOCK_COLUMNS that restart at every item: one
-    strided copy per phase fills a (cin, k, k, block) stack of the k*k windows,
-    and one GEMM of the (cout, cin*k*k) weights writes the block's output
-    columns. So an item's outputs come from the GEMMs, shapes and operands of
-    its forward alone, bit for bit, whatever the batch (batch invariance). The
-    output is cropped from the (Fg, Tg) grid by the slice with which backward
-    pads the output gradient onto a zero grid. dW walks all n_out columns in
-    blocks of BLOCK_COLUMNS: per block and tap, one GEMM of the block's
-    gradient columns against the tap's window writes a (cout, cin) scratch,
-    added into the tap's zeroed slice, so both operands stay in cache; one
-    block gives each tap's GEMM over all n_out columns bit for bit. dX adds
-    one GEMM per tap into the phase grid, in tap
-    order, before the padding is dropped. The phase buffer is freed after the
-    blocks and rebuilt in backward for dW only: the tape keeps no copy of the
-    input. There is no bias: each model conv feeds a batch norm, which cancels
-    it; BN's beta is the per-channel shift. ``bias`` is accepted only as False.
+    Forward is ``_correlate`` with the weights. It walks each batch item's
+    columns, from its first grid cell to its last output, in blocks of
+    BLOCK_COLUMNS that restart at every item: one strided copy per phase fills
+    a (cin, k, k, block) stack of the k*k windows, and one GEMM of the
+    (cout, cin*k*k) weights writes the block's output columns, cropped from the
+    (Fg, Tg) grid at the end. So an item's outputs come from the GEMMs, shapes
+    and operands of its forward alone, bit for bit, whatever the batch. dW pads
+    the output gradient onto a zero (Fg, Tg) grid and walks all n_out columns
+    in blocks of BLOCK_COLUMNS: per block and tap, one GEMM against the tap's
+    window writes a (cout, cin) scratch added into the tap's zeroed slice, so
+    both operands stay in cache, and one block gives each tap's GEMM bit for
+    bit. dX is ``_correlate`` at stride 1 of the output gradient dilated by
+    zeros to the stride and padded by k-1-p, with the weights turned 180
+    degrees and cin and cout swapped; inputs past the forward's last window
+    read the grid's zero cells. So padding must lie in [0, k-1]. At stride 2
+    the GEMMs multiply three zeros in four: those dX cost more than a per-tap
+    scatter, and the stride-1 dX less. Backward rebuilds the phase buffer for
+    dW, so the tape keeps no copy of the input. No bias: each model conv feeds
+    a batch norm, whose beta shifts; ``bias`` is accepted only as False.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
@@ -145,6 +187,8 @@ class Conv2d:
         self.kernel = kernel
         self.stride = tuple(stride)
         self.padding = tuple(padding) if padding is not None else (kernel // 2, kernel // 2)
+        if not all(0 <= p < kernel for p in self.padding):
+            raise ValueError(f"Conv2d padding must lie in [0, {kernel - 1}], got {self.padding}")
         fan_in = in_channels * kernel * kernel
         self.weight = Tensor(
             uniform_fan_in(rng, fan_in, (out_channels, in_channels, kernel, kernel), dtype),
@@ -163,64 +207,24 @@ class Conv2d:
         if cin != self.in_channels:
             raise ShapeError(
                 f"conv2d expects {self.in_channels} input channels, got {cin}")
-        k, cout = self.kernel, self.out_channels
-        sf, st = self.stride
-        pf, pt = self.padding
+        k, cout, stride, pad = self.kernel, self.out_channels, self.stride, self.padding
         fo, to = self.output_size(f, t)
         if fo <= 0 or to <= 0:
             raise ShapeError(
                 f"conv2d output would be empty for input {x.shape} with kernel {k}x{k}")
 
         weight = self.weight
-        fg, tg = fo + (k - 1) // sf, to + (k - 1) // st
-        n_out = b * fg * tg - (fg - fo) * tg - (tg - to)
-        phases = sorted({(i % sf, j % st) for i in range(k) for j in range(k)})
-        # (row, column) cells of each phase grid that hold input, and the input they hold
-        spans = [(_phase_span(f, pf, sf, p, fg), _phase_span(t, pt, st, q, tg)) for p, q in phases]
-        # (i, j, phase, column offset) of every tap, in the weights' (i, j) order
-        taps = [(i, j, phases.index((i % sf, j % st)), (i // sf) * tg + j // st)
-                for i in range(k) for j in range(k)]
-
-        def phase_grid():
-            # (phase, cin, b*Fg*Tg), built again in backward for dW, not kept
-            grid = np.zeros((len(phases), cin, b, fg, tg), dtype=x.dtype)
-            xc = x.data.transpose(1, 0, 2, 3)
-            for ph, ((gu, xu), (gv, xv)) in zip(grid, spans):
-                ph[:, :, gu, gv] = xc[:, :, xu, xv]
-            return grid.reshape(len(phases), cin, b * fg * tg)
-
-        # columns [c0, c0 + bc) of phase (p, q)'s tap windows (p + sf*u, q + st*v)
-        # as one view: one copy per phase and block, then one GEMM per block
-        flat = phase_grid()
-        item = flat.itemsize
-        w2 = weight.data.reshape(cout, cin * k * k)
-        y = np.empty((cout, b * fg * tg), dtype=x.dtype)
-        # each batch item's n_item columns, from its first grid cell, in blocks of
-        # their own: an item's GEMMs are those of the item alone, whatever the batch
-        n_item = n_out - (b - 1) * fg * tg
-        block = np.empty(cin * k * k * min(BLOCK_COLUMNS, n_item), dtype=x.dtype)
-        for start in range(0, b * fg * tg, fg * tg):
-            for c0 in range(start, start + n_item, BLOCK_COLUMNS):
-                bc = min(BLOCK_COLUMNS, start + n_item - c0)
-                # the ragged last block too is contiguous, so the GEMM reads it as one run
-                buf = block[:cin * k * k * bc].reshape(cin, k, k, bc)
-                for (p, q), ph in zip(phases, flat):
-                    buf[:, p::sf, q::st] = as_strided(
-                        ph[:, c0:], (cin, len(range(p, k, sf)), len(range(q, k, st)), bc),
-                        (ph.strides[0], tg * item, item, item))
-                np.matmul(w2, buf.reshape(cin * k * k, bc), out=y[:, c0:c0 + bc])
-        del block, buf, flat
-        out = np.ascontiguousarray(y.reshape(cout, b, fg, tg)[:, :, :fo, :to].transpose(1, 0, 2, 3))
-
-        wdata, xshape, w_grad = weight.data, x.shape, weight.requires_grad
+        out = _correlate(x.data, weight.data, stride, pad, (fo, to))
+        wdata, w_grad = weight.data, weight.requires_grad
 
         def backward(g):
-            ggrid = np.zeros((cout, b, fg, tg), dtype=g.dtype)
-            ggrid[:, :, :fo, :to] = g.transpose(1, 0, 2, 3)
-            gm = ggrid.reshape(cout, b * fg * tg)[:, :n_out]
-            dw = None
+            dx = dw = None
             if w_grad:
-                flat = phase_grid()
+                flat, _, taps, (fg, tg) = _phase_grid(x.data, k, stride, pad, (fo, to))
+                n_out = b * fg * tg - (fg - fo) * tg - (tg - to)
+                ggrid = np.zeros((cout, b, fg, tg), dtype=g.dtype)
+                ggrid[:, :, :fo, :to] = g.transpose(1, 0, 2, 3)
+                gm = ggrid.reshape(cout, b * fg * tg)[:, :n_out]
                 dwk = np.zeros((k, k, cout, cin), dtype=g.dtype)
                 part = np.empty((cout, cin), dtype=g.dtype)
                 for c0 in range(0, n_out, BLOCK_COLUMNS):
@@ -228,19 +232,14 @@ class Conv2d:
                     for i, j, p, off in taps:
                         np.matmul(gm[:, c0:c1], flat[p, :, off + c0:off + c1].T, out=part)
                         dwk[i, j] += part
-                del flat
+                del flat, ggrid, gm
                 dw = np.ascontiguousarray(dwk.transpose(2, 3, 0, 1))
-            dx = None
             if x.requires_grad:
-                dgrid = np.zeros((len(phases), cin, b, fg, tg), dtype=g.dtype)
-                dflat = dgrid.reshape(len(phases), cin, b * fg * tg)
-                wt = np.ascontiguousarray(wdata.transpose(2, 3, 1, 0))    # (k, k, cin, cout)
-                for i, j, p, off in taps:
-                    dflat[p, :, off:off + n_out] += wt[i, j] @ gm
-                dx = np.zeros(xshape, dtype=g.dtype)
-                dxc = dx.transpose(1, 0, 2, 3)
-                for dph, ((gu, xu), (gv, xv)) in zip(dgrid, spans):
-                    dxc[:, :, xu, xv] = dph[:, :, gu, gv]
+                sf, st = stride
+                gd = np.zeros((b, cout, sf * (fo - 1) + 1, st * (to - 1) + 1), dtype=g.dtype)
+                gd[:, :, ::sf, ::st] = g
+                dx = _correlate(gd, wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), (1, 1),
+                                tuple(k - 1 - p for p in pad), (f, t))
             return dx, dw
 
         return Tensor._from_op(out, (x, weight), backward)

@@ -1,14 +1,18 @@
 """CLI contract: subcommands, exit codes, determinism, artifact wiring."""
 
+import contextlib
 import ctypes
 import glob
 import hashlib
+import io
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevx.checkpoint import metadata_from_text, metadata_to_text, read_container, write_container
 from sevx import pipeline
@@ -538,3 +542,74 @@ class TestTrialGeneration:
         assert a == b
         c = generate_trials(self._utts(), seed=6)
         assert a != c
+
+
+# the input files of a micro run, each with the commands that read it
+READERS = {"config": ("make-data", "extract", "metrics"), "manifest": ("extract",),
+           "trials": ("metrics",), "scores": ("metrics",)}
+# (kind, position, byte). Overwritten and inserted bytes are never ASCII digits,
+# so a mutated config cannot ask for a corpus larger than the micro one: a valid
+# request that would only cost time.
+MUTATION = st.tuples(st.sampled_from(["flip", "insert", "delete", "cut"]),
+                     st.integers(0, 2**16), st.integers(0, 255).filter(lambda v: not 48 <= v <= 57))
+
+
+def mutated(data: bytes, mutations) -> bytes:
+    for kind, pos, byte in mutations:
+        i = pos % (len(data) + 1)
+        if kind == "insert":
+            data = data[:i] + bytes([byte]) + data[i:]
+        elif kind == "cut":
+            data = data[:i]
+        elif i < len(data):
+            data = data[:i] + (bytes([byte]) if kind == "flip" else b"") + data[i + 1:]
+    return data
+
+
+@pytest.fixture(scope="class")
+def fuzz_run(tmp_path_factory):
+    """({input: path} for READERS, {command: argv}) of a micro corpus, an
+    untrained checkpoint and a scores file for its trials."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg, run = write_cfg(root, MICRO_CFG), str(root / "run")
+    assert main(["make-data", "--config", cfg, "--out", run]) == 0
+    ckpt = str(root / "ckpt.sevx")
+    spec = ModelSpec(scale_factor=1 / 16, num_speakers=3)
+    save_checkpoint(ckpt, build_model(spec, SEConfig(), seed=1),
+                    AAMHead(3, spec.embedding_dim, seed=1), RunConfig())
+    corpus = os.path.join(run, "corpus")
+    paths = {"config": cfg, "manifest": os.path.join(corpus, pipeline.MANIFEST_NAME),
+             "trials": os.path.join(corpus, pipeline.TRIALS_NAME), "scores": str(root / "scores.txt")}
+    with open(paths["trials"]) as f, open(paths["scores"], "w") as out:
+        for i, line in enumerate(f):
+            out.write(" ".join(line.split()[:2]) + f" {np.sin(i):.4f}\n")
+    argv = {"make-data": ["make-data", "--config", cfg, "--out", str(root / "made")],
+            "extract": ["extract", "--config", cfg, "--out", run, "--checkpoint", ckpt],
+            "metrics": ["metrics", "--config", cfg, "--out", run,
+                        "--scores", paths["scores"], "--trials", paths["trials"]]}
+    return paths, argv
+
+
+class TestCliFuzz:
+    @given(target=st.sampled_from(sorted(READERS)),
+           mutations=st.lists(MUTATION, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_input_ends_in_a_documented_exit_code(self, fuzz_run, target, mutations):
+        # bytes overwritten, inserted, deleted or cut off one input file; every
+        # command that reads it exits 0, 1 (usage or data) or 3 (artifact),
+        # with no exception escaping main and no traceback on stderr
+        paths, argv = fuzz_run
+        with open(paths[target], "rb") as f:
+            pristine = f.read()
+        try:
+            with open(paths[target], "wb") as f:
+                f.write(mutated(pristine, mutations))
+            for command in READERS[target]:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv[command])
+                assert code in (0, 1, 3), (command, code, err.getvalue())
+                assert "Traceback" not in err.getvalue(), err.getvalue()
+        finally:
+            with open(paths[target], "wb") as f:
+                f.write(pristine)

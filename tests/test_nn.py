@@ -139,6 +139,11 @@ class TestConv2d:
            stride=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
            seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
+    # dX correlates the zero-dilated gradient: an input the forward's last window
+    # misses (f = 6 at stride 2) reads the grid's zero cells, one it ends on does not
+    @example(b=2, cin=2, cout=3, f=6, t=7, kernel=3, stride=(2, 2), seed=0)
+    @example(b=2, cin=2, cout=3, f=6, t=7, kernel=1, stride=(2, 2), seed=1)
+    @example(b=2, cin=2, cout=3, f=7, t=6, kernel=3, stride=(2, 1), seed=2)
     def test_grid_crop_matches_reference_and_finite_differences(self, b, cin, cout, f, t,
                                                                 kernel, stride, seed):
         rng = rng_of(seed)
@@ -187,7 +192,7 @@ class TestConv2d:
         matmul = np.matmul
 
         def dw(block_columns):
-            # (dW, the widths of backward's np.matmul calls: dW's alone, as dX uses @)
+            # (dW, the widths of backward's np.matmul calls: dW's alone, as x needs no dX)
             conv.weight.grad = None
             widths = []
 
@@ -209,11 +214,14 @@ class TestConv2d:
         assert max(widths) == 7 and len(widths) > kernel * kernel
         np.testing.assert_allclose(blocked, one_block, rtol=1e-12)
 
-    def test_backward_peak_holds_no_whole_input_tap_stack(self):
+    @pytest.mark.parametrize("kernel, stride", [(3, (1, 1)), (3, (2, 2)), (1, (2, 2))],
+                             ids=["3x3-stride1", "3x3-stride2", "1x1-stride2"])
+    def test_backward_peak_holds_no_whole_input_tap_stack(self, kernel, stride):
         # the stage-1 toy shape: a stack of all 9 tap windows of the input
-        # would alone be about 47 MB, over 9 inputs
+        # would alone be about 47 MB, over 9 inputs; at stride 2, dX's zero-dilated
+        # gradient and its phase grid are each about one input
         x = Tensor(rng_of(16).normal(size=(20, 16, 60, 64)).astype(np.float32), requires_grad=True)
-        out = Conv2d(16, 16, rng=rng_of(17)).forward(x)
+        out = Conv2d(16, 16, kernel=kernel, stride=stride, rng=rng_of(17)).forward(x)
         g = rng_of(18).normal(size=out.shape).astype(np.float32)
         _, peak = traced_peak(lambda: out._backward(g))
         assert peak < 5 * x.data.nbytes
@@ -227,6 +235,12 @@ class TestConv2d:
         conv = Conv2d(1, 1, padding=(0, 0))
         with pytest.raises(ShapeError, match="empty"):
             conv.forward(Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32)))
+
+    @pytest.mark.parametrize("kernel, padding", [(1, (1, 1)), (3, (3, 1)), (3, (1, -1))])
+    def test_padding_outside_zero_to_kernel_minus_one_is_refused(self, kernel, padding):
+        # dX correlates with padding k-1-p, which must not be negative
+        with pytest.raises(ValueError, match=r"padding must lie in \[0, %d\]" % (kernel - 1)):
+            Conv2d(1, 1, kernel=kernel, padding=padding)
 
     def test_bias_is_refused(self):
         # every conv feeds a batch norm, whose shift a bias would duplicate
