@@ -149,7 +149,8 @@ class BasicBlock:
         s = self.shortcut(x, train)
         if mode == "identity":
             s = se_apply(s, unit)
-        out = (r + s).relu_()
+        # r is a fresh BN or SE-rescale output, read by no op and by no rule
+        out = r.add_(s).relu_()
         if mode == "post":
             out = se_apply(out, unit)
         return out

@@ -335,20 +335,24 @@ def population_std(x: Tensor, mu: Tensor, axes) -> Tensor:
     """Population std of x over ``axes``, epsilon inside the sqrt; ``mu`` is
     the mean of x over ``axes`` with those dims kept at size 1.
 
-    The variance is one op over ``x - mu``, so the tape keeps no square. Its
-    rule doubles ``g / count * (x - mu)``: the same floats as a square and a
-    mean, whose backward sums that term twice.
+    The variance is one op over ``(x, mu)``, and the tape keeps neither a
+    square nor ``x - mu``: the rule recomputes ``x - mu`` from its parents
+    (recompute for memory, Chen et al., arXiv 1604.06174), so no op may write
+    into x or mu after this one. It doubles ``(x - mu) * (g / count)``, the
+    floats of a square and a mean whose backward sums that term twice, and
+    hands mu its negation in x's shape, as a subtraction's rule would.
     """
-    centered = x - mu
-    c = centered.data
+    c = x.data - mu.data
     var = (c * c).mean(axis=axes)
     count = c.size // max(var.size, 1)
 
     def backward(g):
-        t = np.expand_dims(g, axes) / count * c
-        return (t + t,)
+        t = x.data - mu.data
+        t *= np.expand_dims(g, axes) / count
+        t += t
+        return t, -t
 
-    return (Tensor._from_op(var, (centered,), backward) + STATS_EPS) ** 0.5
+    return (Tensor._from_op(var, (x, mu), backward) + STATS_EPS) ** 0.5
 
 
 def pooled_width(mode: str, n: int) -> int:

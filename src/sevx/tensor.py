@@ -14,9 +14,9 @@ to its parent's shape. It never writes into an array after creating it, so a
 stored ``.grad`` may be a shared, read-only view. Leaf gradients accumulate
 across ``backward`` calls; call ``zero_grad`` (or drop the graph) between
 steps. An interior node's gradient is freed once its rule has run, so only
-leaves keep one; the tape itself stays, and can be replayed. The one
-in-place op, ``relu_``, writes into an op output before any rule has seen
-it, so the tape keeps one array where ``relu`` keeps two.
+leaves keep one; the tape itself stays, and can be replayed. The two
+in-place ops, ``relu_`` and ``add_``, write into an op output that no rule
+reads, so the tape keeps one array where ``relu`` or ``+`` keeps two.
 """
 
 from __future__ import annotations
@@ -182,9 +182,10 @@ class Tensor:
         """Output of an op over ``parents``, recorded on the tape if any parent is.
 
         ``backward(g)`` maps the output gradient to a sequence with one entry
-        per parent: that parent's gradient in its dtype, in the output's
-        broadcast shape or the parent's own, or ``None`` to skip it. It must
-        not write into ``g`` or into any array it returns.
+        per parent: that parent's gradient in its dtype, in the parent's own
+        shape or any shape the parent broadcasts to (the output's, or another
+        parent's), or ``None`` to skip it. It must not write into ``g`` or
+        into any array it returns.
         """
         out = cls.__new__(cls)
         out.data = data
@@ -270,6 +271,25 @@ class Tensor:
 
     __radd__ = __add__
 
+    def _check_in_place(self, op: str) -> None:
+        """Refuse an in-place op on a leaf that requires grad or on a view."""
+        if (self.requires_grad and self._backward is None) or self.data.base is not None:
+            raise NumericError(f"{op}: in place only on a fresh op output, not a leaf or a view")
+
+    def add_(self, other):
+        """``self + other`` written into this op output, under ``relu_``'s
+        contract: it must own its array, must not have been read by another op
+        yet, and must have a rule that does not read it. Returns a new node
+        with add's rule that shares the array, so the tape is the one ``+``
+        builds, less one array."""
+        self._check_in_place("add_")
+        other = self._coerce(other)
+        _check_broadcast(self.shape, other.shape, "add_")
+        if np.broadcast_shapes(self.shape, other.shape) != self.shape:
+            raise ShapeError(f"add_: {other.shape} does not broadcast to {self.shape}")
+        out = np.add(self.data, other.data, out=self.data)
+        return Tensor._from_op(out, (self, other), lambda g: (g, g))
+
     def __sub__(self, other):
         other = self._coerce(other)
         _check_broadcast(self.shape, other.shape, "sub")
@@ -341,8 +361,7 @@ class Tensor:
         not have been read by another op yet, and must have a rule that does
         not read it; the rule then sees ``g`` masked by ``out > 0``, which is
         ``a > 0`` for every float, NaN and -0 included. Returns self."""
-        if (self.requires_grad and self._backward is None) or self.data.base is not None:
-            raise NumericError("relu_: in place only on a fresh op output, not a leaf or a view")
+        self._check_in_place("relu_")
         out = self.data
         np.maximum(out, 0, out=out)
         rule = self._backward

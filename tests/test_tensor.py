@@ -9,7 +9,7 @@ from sevx import gradcheck
 from sevx.gradcheck import check_gradients
 from sevx.model import BasicBlock
 from sevx.nn import BatchNorm2d
-from sevx.se import se_apply
+from sevx.se import SEConfig, SEUnit, se_apply
 from sevx.tensor import NumericError, ShapeError, Tensor, cat, no_grad
 
 
@@ -152,6 +152,69 @@ class TestReluInPlace:
         with pytest.raises(NumericError, match="view"):
             x.reshape(1, 2).relu_()
         np.testing.assert_array_equal(x.data, [-1.0, 2.0])
+
+
+def _se_rescale_case(dtype):
+    """(leaves, SE-rescale op) with a mean+std squeeze, as on the train tape."""
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 4, 5)).astype(dtype), requires_grad=True)
+    unit = SEUnit(3, SEConfig(pooling="mean_std", reduction_factor=1, hidden_layers=2),
+                  rng=np.random.default_rng(6), dtype=dtype)
+    return [x] + [p for _, p in unit.named_parameters("se")], lambda: se_apply(x, unit)
+
+
+def _special_operand(dtype):
+    """A (2, 3, 4, 5) leaf holding +-0, NaN, +-inf and +-1 in every channel."""
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
+    return Tensor(np.resize(special, (2, 3, 4, 5)).astype(dtype), requires_grad=True)
+
+
+class TestAddInPlace:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["bn_train", "bn_eval", "se_rescale"])
+    def test_same_bytes_as_add(self, case, dtype):
+        def run(inplace_add, inplace_relu):
+            leaves, op = (_se_rescale_case(dtype) if case == "se_rescale"
+                          else _bn_relu_case(case == "bn_train", dtype))
+            other = _special_operand(dtype)
+            with np.errstate(invalid="ignore"):
+                pre = op()
+                total = pre.add_(other) if inplace_add else pre + other
+                out = total.relu_() if inplace_relu else total.relu()
+                r = np.random.default_rng(4).normal(size=out.shape).astype(dtype)
+                (out * Tensor(r)).sum().backward()
+            return out.data.tobytes(), [leaf.grad.tobytes() for leaf in leaves + [other]]
+
+        for inplace_relu in (False, True):
+            assert run(True, inplace_relu) == run(False, inplace_relu) == run(False, False)
+
+    def test_shares_the_array_and_works_without_grad(self):
+        for grad in (True, False):
+            a, b = t([-1.0, 2.0], grad=True), t([0.5, 1.0])
+            if grad:
+                h = a * 1.0
+                out = h.add_(b)
+            else:
+                with no_grad():
+                    h = a * 1.0
+                    out = h.add_(b)
+            assert out is not h and out.data is h.data and out.requires_grad is grad
+            np.testing.assert_array_equal(out.data, [-0.5, 3.0])
+
+    def test_leaf_or_view_rejected(self):
+        x = t([-1.0, 2.0], grad=True)
+        with pytest.raises(NumericError, match="leaf"):
+            x.add_(t([1.0, 1.0]))
+        h = x * 1.0
+        with pytest.raises(NumericError, match="view"):
+            h.reshape(1, 2).add_(t([1.0, 1.0]))
+        np.testing.assert_array_equal(x.data, [-1.0, 2.0])
+        np.testing.assert_array_equal(h.data, [-1.0, 2.0])
+
+    def test_operand_that_would_grow_self_rejected(self):
+        h = t([1.0, 2.0], grad=True) * 1.0
+        with pytest.raises(ShapeError, match="does not broadcast"):
+            h.add_(t(np.ones((3, 2))))
+        np.testing.assert_array_equal(h.data, [1.0, 2.0])
 
 
 class TestBackward:
