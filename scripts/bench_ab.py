@@ -16,8 +16,9 @@ and quartiles of each side, in how many pairs the change was better (ties
 count for neither side), whether its median is worse than the parent's by
 more than the declared bound, and whether it meets the gain rule (better in
 at least 90 % of the pairs, with a median gap wider than the parent's
-interquartile range). Each run's checks, BLAS thread count and numpy
-version come from its ``.bench_out/`` report.
+interquartile range), and in how many pairs the two sides' per-operation
+output digests are equal. Each run's checks, digests, BLAS thread count and
+numpy version come from its ``.bench_out/`` report.
 
 Usage: python scripts/bench_ab.py --parent <rev> --workload train-toy --seed 1
            --pairs 10 --out .benchmarks/BENCH_<n>.json
@@ -66,11 +67,22 @@ def run_once(side: str, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     with open(os.path.join(side, ".bench_out", f"{workload}-seed{seed}-trace0.json"),
               encoding="utf-8") as f:
-        manifest = json.load(f)["manifest"]
+        report = json.load(f)
+    manifest = report["manifest"]
     return {"correct": result["correct"], "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "process_threads": manifest["process_threads"], "numpy": manifest["numpy"],
-            "src_sha256": manifest["src_sha256"]}
+            "src_sha256": manifest["src_sha256"], "digests": report["digests"]}
+
+
+def digests_equal_in(parent: list[dict], change: list[dict]) -> str:
+    """In how many pairs both sides' per-operation output digests are equal
+    over the operations both ran."""
+    same = 0
+    for p, c in zip(parent, change):
+        n = min(len(p["digests"]), len(c["digests"]))
+        same += p["digests"][:n] == c["digests"][:n]
+    return f"{same}/{len(parent)}"
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -100,17 +112,18 @@ def summarize(parent: list[dict], change: list[dict], declared: list[dict]) -> d
 
 
 def main() -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        spec = json.load(f)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, help="JSON list to append the result to")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        spec = json.load(f)
     commit, parent_side = build_parent(args.parent)
     runs = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
@@ -127,6 +140,7 @@ def main() -> int:
                             if k.startswith("MALLOC_")},
              "failed_checks": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()},
              "all_correct": all(r["correct"] for rs in runs.values() for r in rs),
+             "digests_equal_in": digests_equal_in(runs["parent"], runs["change"]),
              "summary": summary, "runs": runs}
     results = []
     if os.path.exists(args.out):

@@ -8,12 +8,13 @@ full-scale stack's per-stage output sizes on their intended grid.
 
 Convolution works on a channel-major, zero-padded copy of its input split
 into stride phases, where each kernel tap is a contiguous column window of one
-phase. One routine, ``_correlate``, runs the forward and dX: one GEMM per
-column block of a stack of those windows. dX is the transposed convolution as
-a stride-1 correlation of the zero-dilated output gradient with the kernel
-turned 180 degrees (Dumoulin and Visin, arXiv 1603.07285); at stride 2 three
-quarters of its products are with zeros. dW is one GEMM per tap and column
-block (operands in cache, as in Goto and van de Geijn, ACM TOMS 2008). None
+phase. One block walk, ``_tap_stacks``, stacks those windows per column block
+for one GEMM each (operands in cache, as in Goto and van de Geijn, ACM TOMS
+2008). Backward splits the transposed convolution (Dumoulin and Visin, arXiv
+1603.07285) by input stride phase, as the sub-pixel convolution of Shi et al.
+(arXiv 1609.05158) does: each phase is a stride-1 correlation of the output
+gradient with the taps that reach it, so no product is with a dilation zero,
+and one stack of the gradient's windows per block feeds both dX and dW. None
 holds a kernel-squared column matrix of the whole input (the low-memory GEMM
 family of Anderson et al., arXiv 1709.03395).
 Train-mode batch norm runs in place (compare Rota Bulo et al., arXiv
@@ -40,7 +41,7 @@ from .tensor import ShapeError, Tensor, cat, recorded
 STATS_EPS = 1e-8
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
-# output columns per block of the conv forward's tap stack (per batch item) and of its dW
+# columns per block of a conv's tap stack, forward and backward, restarting at each batch item
 BLOCK_COLUMNS = 2048
 POOLINGS = ("max", "mean", "std", "mean_std")
 
@@ -94,52 +95,59 @@ class Linear:
         yield f"{prefix}.bias", self.bias
 
 
-def _phase_grid(x: np.ndarray, k: int, stride, padding, out_hw):
-    """(x padded and split into the stride phases a k x k kernel reads, as
-    (phase, cin, b*Fg*Tg), zero past the padding; the phases; the taps as
-    (i, j, phase, column offset) in (i, j) order; (Fg, Tg)). See ``Conv2d``."""
-    b, cin = x.shape[:2]
-    (sf, st), (pf, pt), (fo, to) = stride, padding, out_hw
-    fg, tg = fo + (k - 1) // sf, to + (k - 1) // st
-    phases = sorted({(i % sf, j % st) for i in range(k) for j in range(k)})
-    taps = [(i, j, phases.index((i % sf, j % st)), (i // sf) * tg + j // st)
-            for i in range(k) for j in range(k)]
-    grid = np.zeros((len(phases), cin, b, fg, tg), dtype=x.dtype)
+def _phase_grid(x: np.ndarray, kernel, stride, padding, out_hw):
+    """(x padded and split into the stride phases a kh x kw kernel reads, as
+    (phase, c, b*Fg*Tg), zero past the padding, which may be negative; the
+    phases; (Fg, Tg)). See ``Conv2d``."""
+    b, c = x.shape[:2]
+    (kh, kw), (sf, st), (pf, pt), (fo, to) = kernel, stride, padding, out_hw
+    fg, tg = fo + (kh - 1) // sf, to + (kw - 1) // st
+    phases = sorted({(i % sf, j % st) for i in range(kh) for j in range(kw)})
+    grid = np.zeros((len(phases), c, b, fg, tg), dtype=x.dtype)
     xc = x.transpose(1, 0, 2, 3)
     for ph, (p, q) in zip(grid, phases):
-        u, v = -((p - pf) // sf), -((q - pt) // st)     # the first cells that hold input
+        # the first cells that hold input
+        u, v = max(0, -((p - pf) // sf)), max(0, -((q - pt) // st))
         cells = xc[:, :, p + sf * u - pf::sf, q + st * v - pt::st][:, :, :fg - u, :tg - v]
         ph[:, :, u:u + cells.shape[2], v:v + cells.shape[3]] = cells
-    return grid.reshape(len(phases), cin, b * fg * tg), phases, taps, (fg, tg)
+    return grid.reshape(len(phases), c, b * fg * tg), phases, (fg, tg)
+
+
+def _tap_stacks(flat, phases, kernel, stride, grid_hw, out_hw):
+    """Yield (columns, stack) per block of a ``_phase_grid``: each batch item's
+    columns, from its first grid cell to its last output, in blocks of
+    BLOCK_COLUMNS of their own, and the (c*kh*kw, bc) stack of the block's tap
+    windows, in one buffer the next block reuses. See ``Conv2d``."""
+    c, item = flat.shape[1], flat.itemsize
+    (kh, kw), (sf, st), (fg, tg), (fo, to) = kernel, stride, grid_hw, out_hw
+    # phase (p, q)'s tap windows (p + sf*u, q + st*v) over every column, as one view
+    views = []
+    for (p, q), ph in zip(phases, flat):
+        nu, nv = len(range(p, kh, sf)), len(range(q, kw, st))
+        views.append(as_strided(ph, (c, nu, nv, ph.shape[1] - (nu - 1) * tg - nv + 1),
+                                (ph.strides[0], tg * item, item, item)))
+    n_item = (fo - 1) * tg + to
+    block = np.empty(c * kh * kw * min(BLOCK_COLUMNS, n_item), dtype=flat.dtype)
+    for start in range(0, flat.shape[2], fg * tg):
+        for c0 in range(start, start + n_item, BLOCK_COLUMNS):
+            bc = min(BLOCK_COLUMNS, start + n_item - c0)
+            # the ragged last block too is contiguous, so a GEMM reads it as one run
+            buf = block[:c * kh * kw * bc].reshape(c, kh, kw, bc)
+            for (p, q), view in zip(phases, views):
+                buf[:, p::sf, q::st] = view[..., c0:c0 + bc]
+            yield slice(c0, c0 + bc), buf.reshape(c * kh * kw, bc)
 
 
 def _correlate(x: np.ndarray, w: np.ndarray, stride, padding, out_hw) -> np.ndarray:
     """(b, cout, *out_hw) cross-correlation of x (b, cin, f, t) with w
-    (cout, cin, k, k), one GEMM per block of a tap stack. See ``Conv2d``."""
-    b, cin = x.shape[:2]
-    cout, k = w.shape[0], w.shape[2]
-    (sf, st), (fo, to) = stride, out_hw
-    flat, phases, _, (fg, tg) = _phase_grid(x, k, stride, padding, out_hw)
-    # columns [c0, c0 + bc) of phase (p, q)'s tap windows (p + sf*u, q + st*v)
-    # as one view: one copy per phase and block, then one GEMM per block
-    item = flat.itemsize
-    w2 = w.reshape(cout, cin * k * k)
+    (cout, cin, kh, kw), one GEMM per block of a tap stack. See ``Conv2d``."""
+    b, (cout, cin, kh, kw), (fo, to) = x.shape[0], w.shape, out_hw
+    flat, phases, (fg, tg) = _phase_grid(x, (kh, kw), stride, padding, out_hw)
+    w2 = w.reshape(cout, cin * kh * kw)
     y = np.empty((cout, b * fg * tg), dtype=x.dtype)
-    # each batch item's n_item columns, from its first grid cell, in blocks of
-    # their own: an item's GEMMs are those of the item alone, whatever the batch
-    n_item = fg * tg - (fg - fo) * tg - (tg - to)
-    block = np.empty(cin * k * k * min(BLOCK_COLUMNS, n_item), dtype=x.dtype)
-    for start in range(0, b * fg * tg, fg * tg):
-        for c0 in range(start, start + n_item, BLOCK_COLUMNS):
-            bc = min(BLOCK_COLUMNS, start + n_item - c0)
-            # the ragged last block too is contiguous, so the GEMM reads it as one run
-            buf = block[:cin * k * k * bc].reshape(cin, k, k, bc)
-            for (p, q), ph in zip(phases, flat):
-                buf[:, p::sf, q::st] = as_strided(
-                    ph[:, c0:], (cin, len(range(p, k, sf)), len(range(q, k, st)), bc),
-                    (ph.strides[0], tg * item, item, item))
-            np.matmul(w2, buf.reshape(cin * k * k, bc), out=y[:, c0:c0 + bc])
-    del block, buf, flat, ph        # ph, a view of the last phase, would keep the grid
+    for cols, stack in _tap_stacks(flat, phases, (kh, kw), stride, (fg, tg), out_hw):
+        np.matmul(w2, stack, out=y[:, cols])
+    del flat, stack         # stack, a view of the last block, would keep the buffer
     return np.ascontiguousarray(y.reshape(cout, b, fg, tg)[:, :, :fo, :to].transpose(1, 0, 2, 3))
 
 
@@ -155,25 +163,30 @@ class Conv2d:
     (i//sf)*Tg + j//st, of phase (i%sf, j%st); the n_out columns it spans
     cover every output on the (Fg, Tg) grid.
 
-    Forward is ``_correlate`` with the weights. It walks each batch item's
-    columns, from its first grid cell to its last output, in blocks of
-    BLOCK_COLUMNS that restart at every item: one strided copy per phase fills
-    a (cin, k, k, block) stack of the k*k windows, and one GEMM of the
-    (cout, cin*k*k) weights writes the block's output columns, cropped from the
-    (Fg, Tg) grid at the end. So an item's outputs come from the GEMMs, shapes
-    and operands of its forward alone, bit for bit, whatever the batch. dW pads
-    the output gradient onto a zero (Fg, Tg) grid and walks all n_out columns
-    in blocks of BLOCK_COLUMNS: per block and tap, one GEMM against the tap's
-    window writes a (cout, cin) scratch added into the tap's zeroed slice, so
-    both operands stay in cache, and one block gives each tap's GEMM bit for
-    bit. dX is ``_correlate`` at stride 1 of the output gradient dilated by
-    zeros to the stride and padded by k-1-p, with the weights turned 180
-    degrees and cin and cout swapped; inputs past the forward's last window
-    read the grid's zero cells. So padding must lie in [0, k-1]. At stride 2
-    the GEMMs multiply three zeros in four: those dX cost more than a per-tap
-    scatter, and the stride-1 dX less. Backward rebuilds the phase buffer for
-    dW, so the tape keeps no copy of the input. No bias: each model conv feeds
-    a batch norm, whose beta shifts; ``bias`` is accepted only as False.
+    Forward is ``_correlate`` with the weights. ``_tap_stacks`` walks each
+    batch item's columns, from its first grid cell to its last output, in
+    blocks of BLOCK_COLUMNS that restart at every item: one strided copy per
+    phase, from one window view of it, fills a (cin, k, k, block) stack of the
+    k*k windows, and one GEMM of the (cout, cin*k*k) weights writes the block's
+    output columns, cropped from the (Fg, Tg) grid at the end. So an item's
+    outputs come from the GEMMs, shapes and operands of its forward alone, bit
+    for bit, whatever the batch.
+
+    Backward runs once per x stride phase (r, q). Its taps are the rows i with
+    d = (r + p - i) / sf whole, by ascending d, and likewise in time: a kh x kw
+    sub-kernel (at stride 1 the kernel turned 180 degrees; 1x1, 1x2, 2x1 and
+    2x2 at 3x3 stride 2; a 1x1 stride-2 conv reaches one phase, and the other
+    three get dX 0). The output gradient goes onto a zero stride-1 grid of
+    (f_r + kh - 1) x (t_q + kw - 1) cells per item, shifted by its smallest d,
+    and the x phase onto the same grid at (0, 0). Per block of the gradient's
+    (cout*kh*kw, block) tap stack S, one GEMM adds S @ x_block.T into dW, and
+    one of the turned sub-kernel writes dX over the x columns dW has just read.
+    Only the GEMMs a rule needs run: the stem needs no dX, a frozen weight no
+    dW. At stride 1 dX is ``_correlate`` of the gradient padded by k-1-p with
+    the turned kernel, bit for bit; so padding must lie in [0, k-1]. Backward
+    rebuilds the x phases from the conv's parent, so the tape keeps no copy of
+    the input. No bias: each model conv feeds a batch norm, whose beta shifts;
+    ``bias`` is accepted only as False.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int = 3,
@@ -216,30 +229,39 @@ class Conv2d:
         weight = self.weight
         out = _correlate(x.data, weight.data, stride, pad, (fo, to))
         wdata, w_grad = weight.data, weight.requires_grad
+        (sf, st), (pf, pt) = stride, pad
 
         def backward(g):
-            dx = dw = None
-            if w_grad:
-                flat, _, taps, (fg, tg) = _phase_grid(x.data, k, stride, pad, (fo, to))
-                n_out = b * fg * tg - (fg - fo) * tg - (tg - to)
-                ggrid = np.zeros((cout, b, fg, tg), dtype=g.dtype)
-                ggrid[:, :, :fo, :to] = g.transpose(1, 0, 2, 3)
-                gm = ggrid.reshape(cout, b * fg * tg)[:, :n_out]
-                dwk = np.zeros((k, k, cout, cin), dtype=g.dtype)
-                part = np.empty((cout, cin), dtype=g.dtype)
-                for c0 in range(0, n_out, BLOCK_COLUMNS):
-                    c1 = min(c0 + BLOCK_COLUMNS, n_out)
-                    for i, j, p, off in taps:
-                        np.matmul(gm[:, c0:c1], flat[p, :, off + c0:off + c1].T, out=part)
-                        dwk[i, j] += part
-                del flat, ggrid, gm
-                dw = np.ascontiguousarray(dwk.transpose(2, 3, 0, 1))
-            if x.requires_grad:
-                sf, st = stride
-                gd = np.zeros((b, cout, sf * (fo - 1) + 1, st * (to - 1) + 1), dtype=g.dtype)
-                gd[:, :, ::sf, ::st] = g
-                dx = _correlate(gd, wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), (1, 1),
-                                tuple(k - 1 - p for p in pad), (f, t))
+            dx = np.zeros_like(x.data) if x.requires_grad else None
+            dw = np.zeros_like(wdata) if w_grad else None
+            for r, q in np.ndindex(sf, st):
+                # the taps that reach x phase (r, q), by ascending g offset: a turned sub-kernel
+                i0, j0 = (r + pf) % sf, (q + pt) % st
+                ws = wdata[:, :, i0::sf, j0::st][:, :, ::-1, ::-1]
+                kh, kw = ws.shape[2:]
+                fr, tq = len(range(r, f, sf)), len(range(q, t, st))
+                if not (kh and kw and fr and tq):
+                    continue            # no tap reads the phase: its dX stays 0
+                # g on a stride-1 grid from its smallest offset: padded, or cropped if negative
+                pad_g = (kh - 1 - (r + pf - i0) // sf, kw - 1 - (q + pt - j0) // st)
+                grid, phases, (fg, tg) = _phase_grid(g, (kh, kw), (1, 1), pad_g, (fr, tq))
+                xs = (np.zeros if w_grad else np.empty)((cin, b, fg, tg), dtype=g.dtype)
+                if w_grad:
+                    xs[:, :, :fr, :tq] = x.data[:, :, r::sf, q::st].transpose(1, 0, 2, 3)
+                cols = xs.reshape(cin, b * fg * tg)
+                wt = np.ascontiguousarray(ws.transpose(1, 0, 2, 3)).reshape(cin, cout * kh * kw)
+                dws = np.zeros((cout * kh * kw, cin), dtype=g.dtype)
+                for c, stack in _tap_stacks(grid, phases, (kh, kw), (1, 1), (fg, tg), (fr, tq)):
+                    if w_grad:
+                        dws += np.matmul(stack, cols[:, c].T)
+                    if dx is not None:      # over the x columns dW has just read
+                        np.matmul(wt, stack, out=cols[:, c])
+                if w_grad:
+                    dw[:, :, i0::sf, j0::st][:, :, ::-1, ::-1] = (
+                        dws.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+                if dx is not None:
+                    dx[:, :, r::sf, q::st] = xs[:, :, :fr, :tq].transpose(1, 0, 2, 3)
+                del grid, xs, cols, stack
             return dx, dw
 
         return Tensor._from_op(out, (x, weight), backward)

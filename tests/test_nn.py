@@ -90,6 +90,36 @@ def per_tap_dw(x, g, kernel, stride, padding):
     return dw
 
 
+def conv_backward_reference(x, w, g, stride, padding):
+    """Float64 (dX, dW) of a conv, one product per tap over the zero-padded input."""
+    (sf, st), (pf, pt), (fo, to) = stride, padding, g.shape[2:]
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pf, pf), (pt, pt)))
+    dxp, dw = np.zeros_like(xp), np.zeros(w.shape)
+    for i in range(w.shape[2]):
+        for j in range(w.shape[3]):
+            win = np.s_[:, :, i:i + sf * (fo - 1) + 1:sf, j:j + st * (to - 1) + 1:st]
+            dw[:, :, i, j] = np.einsum("noab,ncab->oc", g, xp[win])
+            dxp[win] += np.einsum("noab,oc->ncab", g, w[:, :, i, j])
+    return dxp[:, :, pf:pf + x.shape[2], pt:pt + x.shape[3]], dw
+
+
+def backward_gemms(out, g, block_columns=nn.BLOCK_COLUMNS):
+    """(a conv output's backward rule run on g, the rule's np.matmul calls as
+    (kind, rows of the gradient's tap stack, block columns)): a dX GEMM writes
+    into ``out=``, a dW GEMM returns its (rows, cin) product."""
+    calls = []
+    matmul = np.matmul
+
+    def gemm(a, b, out=None):
+        calls.append(("dx", a.shape[1], b.shape[1]) if out is not None
+                     else ("dw", a.shape[0], a.shape[1]))
+        return matmul(a, b, out=out)
+
+    with mock.patch.object(nn, "BLOCK_COLUMNS", block_columns), \
+            mock.patch.object(np, "matmul", gemm):
+        return out._backward(g), calls
+
+
 class TestConv2d:
     def test_delta_kernel_is_identity(self):
         conv = Conv2d(1, 1)
@@ -139,11 +169,14 @@ class TestConv2d:
            stride=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
            seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
-    # dX correlates the zero-dilated gradient: an input the forward's last window
-    # misses (f = 6 at stride 2) reads the grid's zero cells, one it ends on does not
+    # dX runs per x stride phase: an input the forward's last window misses
+    # (f = 6 at stride 2) reads the gradient grid's zero cells, one it ends on
+    # does not; at k = 1 the odd phases have no tap, and their dX is exactly 0
     @example(b=2, cin=2, cout=3, f=6, t=7, kernel=3, stride=(2, 2), seed=0)
     @example(b=2, cin=2, cout=3, f=6, t=7, kernel=1, stride=(2, 2), seed=1)
     @example(b=2, cin=2, cout=3, f=7, t=6, kernel=3, stride=(2, 1), seed=2)
+    @example(b=2, cin=2, cout=3, f=6, t=7, kernel=1, stride=(1, 2), seed=3)
+    @example(b=2, cin=2, cout=3, f=7, t=6, kernel=3, stride=(2, 1), seed=4)
     def test_grid_crop_matches_reference_and_finite_differences(self, b, cin, cout, f, t,
                                                                 kernel, stride, seed):
         rng = rng_of(seed)
@@ -160,7 +193,12 @@ class TestConv2d:
             np.testing.assert_allclose(conv.forward(x).data, ref, rtol=1e-10, atol=1e-12)
             ok, max_abs, _ = check_gradients(lambda: (conv.forward(x) * r).sum(),
                                              [x, conv.weight])
+            dx, _ = conv.forward(x)._backward(r.data)
         assert ok, f"conv gradient mismatch, max abs err {max_abs}"
+        if kernel == 1:     # an x phase no tap reads has no gradient at all
+            read = np.zeros((f, t), dtype=bool)
+            read[::stride[0], ::stride[1]] = True
+            assert not dx[:, :, ~read].any()
 
     def test_tape_keeps_no_copy_of_the_input(self):
         # an im2col tape would keep 9 copies of the input, a phase-buffer tape one;
@@ -183,48 +221,95 @@ class TestConv2d:
     @pytest.mark.parametrize("cin, kernel, stride", [
         (3, 3, (1, 1)), (3, 3, (2, 2)), (3, 1, (2, 2)), (1, 3, (1, 1)),
     ], ids=["3x3-stride1", "3x3-stride2", "1x1-stride2", "stem-cin1"])
-    def test_blocked_dw_matches_one_block_and_the_per_tap_gemm(self, cin, kernel, stride):
+    def test_blocked_backward_matches_one_block_and_the_per_tap_gemm(self, cin, kernel, stride):
         rng = rng_of(15)
         conv = Conv2d(cin, 4, kernel=kernel, stride=stride, rng=rng, dtype=np.float64)
-        x = Tensor(rng.normal(size=(2, cin, 7, 9)), dtype=np.float64)
-        g = rng.normal(size=(2, 4, *conv.output_size(7, 9)))
+        x = Tensor(rng.normal(size=(2, cin, 7, 9)), requires_grad=True, dtype=np.float64)
+        out = conv.forward(x)
+        g = rng.normal(size=out.shape)
+        (dx, dw), gemms = backward_gemms(out, g, 10**9)
+        (dx7, dw7), gemms7 = backward_gemms(out, g, 7)
+        # 7-column blocks: more GEMMs, none wider than 7, the same sums
+        assert max(cols for _, _, cols in gemms7) == 7 and len(gemms7) > len(gemms)
+        np.testing.assert_allclose(dw7, dw, rtol=1e-12)
+        np.testing.assert_allclose(dx7, dx, rtol=1e-12)
+        np.testing.assert_allclose(dw, per_tap_dw(x.data, g, kernel, stride, conv.padding),
+                                   rtol=1e-12)
+        ref_dx, ref_dw = conv_backward_reference(x.data, conv.weight.data, g, stride, conv.padding)
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-13)
 
-        matmul = np.matmul
+    @pytest.mark.parametrize("kernel, stride", [(3, (2, 2)), (3, (1, 2)), (1, (2, 1))],
+                             ids=["3x3-stride2", "3x3-stride1x2", "1x1-stride2x1"])
+    def test_backward_matches_the_oracle_at_every_padding(self, kernel, stride):
+        # padding 2 at 3x3 stride 2 gives an odd phase whose taps start past
+        # the gradient's first row: its grid crops the gradient instead of padding it
+        rng = rng_of(26)
+        for padding in np.ndindex(kernel, kernel):
+            conv = Conv2d(2, 3, kernel=kernel, stride=stride, padding=padding, rng=rng,
+                          dtype=np.float64)
+            x = Tensor(rng.normal(size=(2, 2, 7, 6)), requires_grad=True, dtype=np.float64)
+            out = conv.forward(x)
+            g = rng.normal(size=out.shape)
+            dx, dw = out._backward(g)
+            ref_dx, ref_dw = conv_backward_reference(x.data, conv.weight.data, g, stride, padding)
+            np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-13, err_msg=str(padding))
+            np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-13, err_msg=str(padding))
 
-        def dw(block_columns):
-            # (dW, the widths of backward's np.matmul calls: dW's alone, as x needs no dX)
-            conv.weight.grad = None
-            widths = []
+    def test_stride2_dx_multiplies_no_dilation_zero(self):
+        # the four x phases of a 3x3 stride-2 conv take sub-kernels 1x1, 1x2, 2x1
+        # and 2x2: one block per phase and item, 9*cout rows of the gradient's taps
+        conv = Conv2d(3, 4, stride=(2, 2), rng=rng_of(19), dtype=np.float64)
+        x = Tensor(rng_of(20).normal(size=(1, 3, 8, 9)), requires_grad=True, dtype=np.float64)
+        out = conv.forward(x)
+        _, gemms = backward_gemms(out, rng_of(21).normal(size=out.shape), 10**9)
+        for kind in ("dx", "dw"):
+            rows = [k for which, k, _ in gemms if which == kind]
+            assert sorted(rows) == [4, 8, 8, 16] and sum(rows) == 9 * 4
 
-            def gemm(a, b, out):
-                widths.append(a.shape[1])
-                return matmul(a, b, out=out)
+    @pytest.mark.parametrize("block_columns", [2048, 7])
+    def test_stride1_dx_is_the_correlation_with_the_turned_kernel(self, block_columns):
+        # the bytes of dX as the forward's correlation of g, padded by k-1-p,
+        # with the kernel turned 180 degrees and cin and cout swapped
+        conv = Conv2d(5, 6, rng=rng_of(22))
+        x = Tensor(rng_of(23).normal(size=(2, 5, 9, 11)).astype(np.float32), requires_grad=True)
+        out = conv.forward(x)
+        g = rng_of(24).normal(size=out.shape).astype(np.float32)
+        with mock.patch.object(nn, "BLOCK_COLUMNS", block_columns):
+            dx, _ = out._backward(g)
+            turned = conv.weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            want = nn._correlate(g, turned, (1, 1), (1, 1), (9, 11))
+        assert dx.tobytes() == want.tobytes()
 
-            with mock.patch.object(nn, "BLOCK_COLUMNS", block_columns):
-                loss = (conv.forward(x) * Tensor(g, dtype=np.float64)).sum()
-                with mock.patch.object(np, "matmul", gemm):
-                    loss.backward()
-            return conv.weight.grad, widths
+    def test_backward_runs_only_the_gemms_a_rule_needs(self):
+        rng = rng_of(25)
+        # the stem: its input needs no gradient, so only dW GEMMs run
+        x = Tensor(rng.normal(size=(2, 1, 6, 7)).astype(np.float32))
+        stem = Conv2d(1, 4, rng=rng).forward(x)
+        (dx, dw), gemms = backward_gemms(stem, np.ones(stem.shape, dtype=np.float32))
+        assert dx is None and dw is not None and {kind for kind, _, _ in gemms} == {"dw"}
+        # a frozen weight needs no dW
+        for stride in ((1, 1), (2, 2)):
+            conv = Conv2d(3, 4, stride=stride, rng=rng)
+            conv.weight.requires_grad = False
+            out = conv.forward(Tensor(rng.normal(size=(2, 3, 6, 7)).astype(np.float32),
+                                      requires_grad=True))
+            (dx, dw), gemms = backward_gemms(out, np.ones(out.shape, dtype=np.float32))
+            assert dw is None and dx is not None and {kind for kind, _, _ in gemms} == {"dx"}
 
-        # one block past every output column adds each tap's GEMM to zero once
-        one_block, widths = dw(10**9)
-        assert len(widths) == kernel * kernel
-        assert one_block.tobytes() == per_tap_dw(x.data, g, kernel, stride, conv.padding).tobytes()
-        blocked, widths = dw(7)
-        assert max(widths) == 7 and len(widths) > kernel * kernel
-        np.testing.assert_allclose(blocked, one_block, rtol=1e-12)
-
-    @pytest.mark.parametrize("kernel, stride", [(3, (1, 1)), (3, (2, 2)), (1, (2, 2))],
+    @pytest.mark.parametrize("kernel, stride, inputs",
+                             [(3, (1, 1), 3.5), (3, (2, 2), 2.5), (1, (2, 2), 2.0)],
                              ids=["3x3-stride1", "3x3-stride2", "1x1-stride2"])
-    def test_backward_peak_holds_no_whole_input_tap_stack(self, kernel, stride):
+    def test_backward_peak_holds_no_whole_input_tap_stack(self, kernel, stride, inputs):
         # the stage-1 toy shape: a stack of all 9 tap windows of the input
-        # would alone be about 47 MB, over 9 inputs; at stride 2, dX's zero-dilated
-        # gradient and its phase grid are each about one input
+        # would alone be about 47 MB, over 9 inputs. dX is one input; per x
+        # phase, backward holds the gradient's grid and the x phase, which
+        # dX overwrites: about one input each at stride 1, a quarter at stride 2
         x = Tensor(rng_of(16).normal(size=(20, 16, 60, 64)).astype(np.float32), requires_grad=True)
         out = Conv2d(16, 16, kernel=kernel, stride=stride, rng=rng_of(17)).forward(x)
         g = rng_of(18).normal(size=out.shape).astype(np.float32)
         _, peak = traced_peak(lambda: out._backward(g))
-        assert peak < 5 * x.data.nbytes
+        assert peak < inputs * x.data.nbytes
 
     def test_channel_mismatch_error(self):
         conv = Conv2d(3, 4)

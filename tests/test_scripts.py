@@ -128,3 +128,30 @@ def test_bench_ab_summary_counts_pairs_bounds_and_the_gain_rule(scripts):
                                                        [599.0, 609.0, 619.0, 629.0, 639.0]),
                                           declared)["op_ms_p50"]
     assert close["better_in"] == "5/5" and not close["gain_rule"]
+
+
+@pytest.mark.parametrize("workload", ["all", "train_toy"])
+def test_bench_ab_refuses_an_undeclared_workload_before_building_the_parent(
+        scripts, monkeypatch, tmp_path, capsys, workload):
+    bench_ab = scripts["bench_ab"]
+
+    def build_parent(rev):
+        raise AssertionError("the parent side was built")
+
+    monkeypatch.setattr(bench_ab, "build_parent", build_parent)
+    monkeypatch.setattr("sys.argv", ["bench_ab.py", "--parent", "HEAD", "--workload", workload,
+                                     "--seed", "1", "--out", str(tmp_path / "out.json")])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_ab.main()
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err and not (tmp_path / "out.json").exists()
+
+
+def test_bench_ab_counts_pairs_whose_digests_agree_over_the_common_operations(scripts):
+    def runs(*digests):
+        return [{"digests": d} for d in digests]
+
+    parent = runs(["a", "b", "c"], ["a", "b"], ["a", "x"])
+    change = runs(["a", "b"], ["a", "b", "c"], ["a", "b"])
+    # a side that ran more operations is compared over the ones both ran
+    assert scripts["bench_ab"].digests_equal_in(parent, change) == "2/3"
